@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import audio_io, metrics, solvers
 from .consistency import get_kernel
 from .errors import DivergenceError, InputError, SpecConsistError
-from .stft import expand_half_spectrum, make_config, stft
+from .stft import WINDOW_KINDS, expand_half_spectrum, make_config, stft
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -32,28 +33,21 @@ EXIT_IO = 4
 
 TRACE_COLUMNS = ("iter", "loss", "consistency_measure", "step_size")
 
+SOLVER_KINDS = ("gla", "gd")
+
 # CLI spellings -> library names
-LOSS_FLAGS = {
-    "ec": "ec", "cos": "cos", "aw": "aw",
-    "comp-l1": "comp_l1", "comp-l2": "comp_l2",
-    "time-l1": "time_l1", "time-l2": "time_l2",
-    "cos-derv": "cos_derv", "aw-derv": "aw_derv",
-}
+LOSS_FLAGS = {name.replace("_", "-"): name for name in solvers.LOSSES}
 INIT_FLAGS = {"zeros": "zeros", "random": "random_uniform",
               "noisy": "noisy_phase", "provided": "provided"}
 
+# The config's "solver" section holds every SolverOptions field except the
+# seed (a top-level key) and the initial phase (loaded from --init-phase).
+_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(solvers.SolverOptions)
+                    if f.name not in ("seed", "init_phase")}
+
 DEFAULT_CONFIG = {
     "stft": {"window_len": 512, "hop": 128, "window_kind": "hann"},
-    "solver": {
-        "kind": "gd",
-        "max_iters": 100,
-        "step_rule": "cosine_anneal",
-        "initial_step": 1e-3,
-        "final_step": 1e-5,
-        "init": "random_uniform",
-        "parameterization": "direct_phase",
-        "tolerance": 0.0,
-    },
+    "solver": {"kind": "gd", **_SOLVER_DEFAULTS},
     "loss": "ec",
     "metrics": {"search_radius": 128},
     "io": {"output_dir": "."},
@@ -90,61 +84,50 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
     _solver_options(resolved).validate()
     if resolved["loss"] not in solvers.LOSSES:
         raise InputError(f"unknown loss {resolved['loss']!r}")
-    if resolved["solver"]["kind"] not in ("gla", "gd"):
-        raise InputError("solver kind must be 'gla' or 'gd'")
+    if resolved["solver"]["kind"] not in SOLVER_KINDS:
+        raise InputError(f"solver kind must be one of {SOLVER_KINDS}")
     if resolved["metrics"]["search_radius"] < 0:
         raise InputError("search radius must be nonnegative")
     return resolved
 
 
 def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
-    s = cfg["solver"]
-    return solvers.SolverOptions(
-        max_iters=int(s["max_iters"]),
-        step_rule=s["step_rule"],
-        initial_step=float(s["initial_step"]),
-        final_step=float(s["final_step"]),
-        init=s["init"],
-        seed=int(cfg["seed"]),
-        parameterization=s["parameterization"],
-        tolerance=float(s["tolerance"]),
-        init_phase=init_phase,
-    )
+    fields = {}
+    for name, default in _SOLVER_DEFAULTS.items():
+        value = cfg["solver"][name]
+        # A config file may spell a number as a string such as "0.01".
+        fields[name] = type(default)(value) if isinstance(default, (int, float)) else value
+    return solvers.SolverOptions(**fields, seed=int(cfg["seed"]), init_phase=init_phase)
 
 
-def _stft_config(cfg: dict):
-    return make_config(**cfg["stft"])
+# argparse dest -> (dotted config path, map from flag value to config value)
+CONFIG_FLAGS = {
+    "seed": ("seed", None),
+    "solver": ("solver.kind", None),
+    "iters": ("solver.max_iters", None),
+    "init": ("solver.init", INIT_FLAGS),
+    "step": ("solver.initial_step", None),
+    "final_step": ("solver.final_step", None),
+    "step_rule": ("solver.step_rule", None),
+    "loss": ("loss", LOSS_FLAGS),
+    "radius": ("metrics.search_radius", None),
+    "window_len": ("stft.window_len", None),
+    "hop": ("stft.hop", None),
+    "window": ("stft.window_kind", None),
+}
 
 
 def _config_overrides(args) -> dict:
     over: dict = {}
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
-    solver_over = {}
-    if getattr(args, "solver", None) is not None:
-        solver_over["kind"] = args.solver
-    if getattr(args, "iters", None) is not None:
-        solver_over["max_iters"] = args.iters
-    if getattr(args, "init", None) is not None:
-        solver_over["init"] = INIT_FLAGS[args.init]
-    if getattr(args, "step", None) is not None:
-        solver_over["initial_step"] = args.step
-    if getattr(args, "final_step", None) is not None:
-        solver_over["final_step"] = args.final_step
-    if getattr(args, "step_rule", None) is not None:
-        solver_over["step_rule"] = args.step_rule
-    if solver_over:
-        over["solver"] = solver_over
-    if getattr(args, "loss", None) is not None:
-        over["loss"] = LOSS_FLAGS[args.loss]
-    if getattr(args, "radius", None) is not None:
-        over["metrics"] = {"search_radius": args.radius}
-    if getattr(args, "window_len", None) is not None:
-        over.setdefault("stft", {})["window_len"] = args.window_len
-    if getattr(args, "hop", None) is not None:
-        over.setdefault("stft", {})["hop"] = args.hop
-    if getattr(args, "window", None) is not None:
-        over.setdefault("stft", {})["window_kind"] = args.window
+    for dest, (path, spellings) in CONFIG_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        *sections, key = path.split(".")
+        node = over
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value if spellings is None else spellings[value]
     return over
 
 
@@ -171,7 +154,7 @@ def _write_trace(path: Path, trace: solvers.SolveTrace):
 
 def cmd_analyze(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
-    config = _stft_config(cfg)
+    config = make_config(**cfg["stft"])
     signal, meta = audio_io.read_wav(args.input, downmix=args.downmix)
     spec = stft(signal, config)
     measure = metrics.consistency_measure(spec, get_kernel(config))
@@ -216,7 +199,7 @@ def _load_reconstruct_input(args, config):
 
 def cmd_reconstruct(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
-    config = _stft_config(cfg)
+    config = make_config(**cfg["stft"])
     mag, noisy_phase, reference, sample_rate = _load_reconstruct_input(args, config)
 
     if args.reference is not None:
@@ -323,7 +306,7 @@ def _compare_one(path: Path, loss_names, cfg, config):
 
 def cmd_compare(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
-    config = _stft_config(cfg)
+    config = make_config(**cfg["stft"])
     loss_names = [LOSS_FLAGS[name.strip()] for name in args.losses.split(",")]
     corpus = sorted(Path(args.corpus).glob("*.wav"))
     out_path = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "results.csv"
@@ -355,25 +338,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params: dict = {}
-    if args.freq is not None:
-        params["freq"] = args.freq
-    if args.freqs is not None:
-        params["freqs"] = [float(f) for f in args.freqs.split(",")]
-    if args.amps is not None:
-        params["amps"] = [float(a) for a in args.amps.split(",")]
-    if args.phases is not None:
-        params["phases"] = [float(p) for p in args.phases.split(",")]
-    if args.f0 is not None:
-        params["f0"] = args.f0
-    if args.f1 is not None:
-        params["f1"] = args.f1
-    if args.amp is not None:
-        params["amp"] = args.amp
-    if args.position is not None:
-        params["position"] = args.position
-    if args.seed is not None:
-        params["seed"] = args.seed
+    names = ("freq", "freqs", "amps", "phases", "f0", "f1", "amp", "position", "seed")
+    params = {name: getattr(args, name) for name in names
+              if getattr(args, name) is not None}
     signal = audio_io.synth(args.kind, params, args.sr, args.duration)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -387,12 +354,16 @@ def cmd_synth(args) -> int:
 # argument parsing
 
 
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags take precedence")
     sub.add_argument("--seed", type=int, help="master seed (also the solver seed)")
     sub.add_argument("--window-len", type=int, dest="window_len")
     sub.add_argument("--hop", type=int)
-    sub.add_argument("--window", choices=("hann", "rectangular"))
+    sub.add_argument("--window", choices=WINDOW_KINDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="phase reconstruction from a WAV or magnitude matrix")
     _add_common(p)
     p.add_argument("input", help="WAV file or .npy magnitude matrix")
-    p.add_argument("--solver", choices=("gla", "gd"))
+    p.add_argument("--solver", choices=SOLVER_KINDS)
     p.add_argument("--loss", choices=sorted(LOSS_FLAGS))
     p.add_argument("--iters", type=int)
     p.add_argument("--init", choices=sorted(INIT_FLAGS))
@@ -422,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=".npy target phase for target-based losses")
     p.add_argument("--step", type=float, help="initial step size")
     p.add_argument("--final-step", dest="final_step", type=float)
-    p.add_argument("--step-rule", dest="step_rule", choices=("fixed", "cosine_anneal"))
+    p.add_argument("--step-rule", dest="step_rule", choices=solvers.STEP_RULES)
     p.add_argument("--reference", help="WAV reference for the evaluation report")
     p.add_argument("--radius", type=int, help="alignment search radius in samples")
     p.add_argument("--sr", type=int, default=16000,
                    help="sample rate for matrix inputs (default 16000)")
-    p.add_argument("--encoding", choices=("pcm16", "float32"), default="float32")
+    p.add_argument("--encoding", choices=audio_io.ENCODINGS, default="float32")
     p.add_argument("--out", help="output directory")
     p.add_argument("--downmix", action="store_true")
     p.set_defaults(func=cmd_reconstruct)
@@ -440,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int)
     p.add_argument("--step", type=float)
     p.add_argument("--final-step", dest="final_step", type=float)
-    p.add_argument("--step-rule", dest="step_rule", choices=("fixed", "cosine_anneal"))
+    p.add_argument("--step-rule", dest="step_rule", choices=solvers.STEP_RULES)
     p.add_argument("--radius", type=int)
     p.add_argument("--out", help="results CSV path (default <output_dir>/results.csv)")
     p.set_defaults(func=cmd_compare)
@@ -450,15 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sr", type=int, default=16000)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--freq", type=float)
-    p.add_argument("--freqs", help="comma-separated frequencies (multisine)")
-    p.add_argument("--amps", help="comma-separated amplitudes (multisine)")
-    p.add_argument("--phases", help="comma-separated phases (multisine)")
+    p.add_argument("--freqs", type=_floats, help="comma-separated frequencies (multisine)")
+    p.add_argument("--amps", type=_floats, help="comma-separated amplitudes (multisine)")
+    p.add_argument("--phases", type=_floats, help="comma-separated phases (multisine)")
     p.add_argument("--f0", type=float)
     p.add_argument("--f1", type=float)
     p.add_argument("--amp", type=float)
     p.add_argument("--position", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--encoding", choices=("pcm16", "float32"), default="float32")
+    p.add_argument("--encoding", choices=audio_io.ENCODINGS, default="float32")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

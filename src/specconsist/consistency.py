@@ -28,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import InputError
-from .stft import Spectrogram, StftConfig
+from .stft import StftConfig, _coerce_spec
 
 _KERNEL_CACHE: dict[tuple, "ConsistencyKernel"] = {}
 
@@ -90,17 +90,6 @@ def get_kernel(config: StftConfig) -> ConsistencyKernel:
     return kernel
 
 
-def _coerce(spec, kernel: ConsistencyKernel) -> np.ndarray:
-    if isinstance(spec, Spectrogram):
-        if spec.config != kernel.config:
-            raise InputError("spectrogram and kernel come from different configs")
-        return spec.data
-    data = np.asarray(spec, dtype=np.complex128)
-    if data.ndim != 2 or data.shape[1] != kernel.config.window_len:
-        raise InputError("spectrogram shape inconsistent with kernel config")
-    return data
-
-
 def _apply(h: np.ndarray, kernel: ConsistencyKernel) -> np.ndarray:
     """Residual operator via length-N fast transforms."""
     m = h.shape[0]
@@ -115,23 +104,6 @@ def _apply(h: np.ndarray, kernel: ConsistencyKernel) -> np.ndarray:
             out[q:] += kernel.phases[iq] * conv[iq, : m - q]
         else:
             out[: m + q] += kernel.phases[iq] * conv[iq, -q:]
-    return out
-
-
-def _apply_direct(h: np.ndarray, kernel: ConsistencyKernel) -> np.ndarray:
-    """Residual operator by explicit circular convolution (reference path)."""
-    m, n = h.shape
-    out = np.zeros_like(h)
-    for iq, q in enumerate(kernel.q_range):
-        if abs(q) >= m:
-            continue
-        conv = np.zeros_like(h)
-        for p in range(n):
-            conv += kernel.alpha[iq, p] * np.roll(h, p, axis=1)
-        if q >= 0:
-            out[q:] += kernel.phases[iq] * conv[: m - q]
-        else:
-            out[: m + q] += kernel.phases[iq] * conv[-q:]
     return out
 
 
@@ -153,14 +125,9 @@ def _apply_adjoint(y: np.ndarray, kernel: ConsistencyKernel) -> np.ndarray:
     return out
 
 
-def residual(spec, kernel: ConsistencyKernel, method: str = "fft") -> np.ndarray:
+def residual(spec, kernel: ConsistencyKernel) -> np.ndarray:
     """Per-bin consistency residual; zero everywhere iff ``spec`` is a true STFT."""
-    h = _coerce(spec, kernel)
-    if method == "fft":
-        return _apply(h, kernel)
-    if method == "direct":
-        return _apply_direct(h, kernel)
-    raise InputError(f"unknown residual method {method!r}")
+    return _apply(_coerce_spec(spec, kernel.config)[0], kernel)
 
 
 def loss_ec(spec, kernel: ConsistencyKernel) -> float:

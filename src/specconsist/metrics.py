@@ -12,7 +12,7 @@ import numpy as np
 
 from .consistency import ConsistencyKernel, loss_ec
 from .errors import InputError, MetricError
-from .stft import Signal
+from .stft import Signal, _coerce_spec
 
 DB_CLAMP = 300.0
 
@@ -48,11 +48,11 @@ class EvalReport:
 
 def consistency_measure(spec, kernel: ConsistencyKernel) -> float:
     """Normalized residual norm sqrt(loss / ||H||^2); 0 iff consistent."""
-    data = spec.data if hasattr(spec, "data") else np.asarray(spec)
+    data, _ = _coerce_spec(spec, kernel.config)
     norm_sq = float(np.vdot(data, data).real)
     if norm_sq == 0.0:
         raise MetricError("consistency measure undefined for a zero spectrogram")
-    return float(np.sqrt(loss_ec(spec, kernel) / norm_sq))
+    return float(np.sqrt(loss_ec(data, kernel) / norm_sq))
 
 
 def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:
@@ -73,10 +73,9 @@ def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:
 def _shifted(est: np.ndarray, shift: int) -> np.ndarray:
     """est advanced by `shift` samples (positive pulls later samples earlier)."""
     out = np.zeros_like(est)
-    if shift >= 0:
-        if shift < est.size:
-            out[: est.size - shift] = est[shift:]
-    else:
+    if 0 <= shift < est.size:
+        out[: est.size - shift] = est[shift:]
+    elif -est.size < shift < 0:
         out[-shift:] = est[: est.size + shift]
     return out
 

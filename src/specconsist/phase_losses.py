@@ -55,8 +55,7 @@ def wrap_residual(delta: np.ndarray) -> np.ndarray:
 
 def loss_cos(p: np.ndarray, p_est: np.ndarray) -> float:
     """Negative summed cosine of the phase error; 2*pi-periodic by construction."""
-    _check_shapes(p, p_est)
-    return float(-np.sum(np.cos(p - p_est)))
+    return cos_value_and_grad(p, p_est)[0]
 
 
 def cos_value_and_grad(p, p_est):
@@ -67,8 +66,7 @@ def cos_value_and_grad(p, p_est):
 
 def loss_aw(p: np.ndarray, p_est: np.ndarray) -> float:
     """Squared phase error after removing whole 2*pi wraps."""
-    _check_shapes(p, p_est)
-    return float(np.sum(wrap_residual(p - p_est) ** 2))
+    return aw_value_and_grad(p, p_est)[0]
 
 
 def aw_value_and_grad(p, p_est):
@@ -84,8 +82,7 @@ def loss_complex(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
     L2 is the squared distance, identically ``sum 2*A*(1 - cos(P - P'))``;
     L1 sums the weighted phasor distances ``|A e^{jP} - A e^{jP'}|``.
     """
-    value, _ = complex_value_and_grad(p, p_est, mag, norm)
-    return value
+    return complex_value_and_grad(p, p_est, mag, norm)[0]
 
 
 def complex_value_and_grad(p, p_est, mag, norm="L2"):
@@ -108,8 +105,7 @@ def complex_value_and_grad(p, p_est, mag, norm="L2"):
 def loss_time(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
               config: StftConfig, norm: str = "L2") -> float:
     """Distance between the reconstructions of (mag, p) and (mag, p_est)."""
-    value, _ = time_value_and_grad(p, p_est, mag, config, norm)
-    return value
+    return time_value_and_grad(p, p_est, mag, config, norm)[0]
 
 
 def time_value_and_grad(p, p_est, mag, config, norm="L2"):
@@ -167,23 +163,19 @@ def inst_freq(p: np.ndarray) -> np.ndarray:
     return out
 
 
-_BASES = {"cos": cos_value_and_grad, "aw": aw_value_and_grad}
-
-
 def loss_with_derivatives(p: np.ndarray, p_est: np.ndarray, base: str) -> float:
     """base(P, P') + base(GD(P), GD(P')) + base(IF(P), IF(P'))."""
-    value, _ = derivative_value_and_grad(p, p_est, base)
-    return value
+    return derivative_value_and_grad(p, p_est, base)[0]
 
 
 def derivative_value_and_grad(p, p_est, base):
     if base not in _BASES:
-        raise InputError(f"unknown base loss {base!r}; expected 'cos' or 'aw'")
+        raise InputError(f"unknown base loss {base!r}; expected one of {_BASES}")
     _check_shapes(p, p_est)
-    fn = _BASES[base]
-    v0, g0 = fn(p, p_est)
-    v1, g1 = fn(group_delay(p), group_delay(p_est))
-    v2, g2 = fn(inst_freq(p), inst_freq(p_est))
+    fn = LOSSES[base][0]
+    v0, g0 = fn(p, p_est, None, None)
+    v1, g1 = fn(group_delay(p), group_delay(p_est), None, None)
+    v2, g2 = fn(inst_freq(p), inst_freq(p_est), None, None)
     grad = g0 + _diff_adjoint(g1, axis=1) + _diff_adjoint(g2, axis=0)
     return v0 + v1 + v2, grad
 
@@ -199,45 +191,47 @@ def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# reporting
+# loss table and reporting
+
+# name -> (value_and_grad(target, phase, mag, config), whether the loss is a
+# plain sum over bins). The entries look the functions up at call time, so a
+# wrapper installed on this module sees every call made through the table.
+LOSSES = {
+    "cos": (lambda t, p, mag, cfg: cos_value_and_grad(t, p), True),
+    "aw": (lambda t, p, mag, cfg: aw_value_and_grad(t, p), True),
+    "comp_l1": (lambda t, p, mag, cfg: complex_value_and_grad(t, p, mag, "L1"), True),
+    "comp_l2": (lambda t, p, mag, cfg: complex_value_and_grad(t, p, mag, "L2"), True),
+    "time_l1": (lambda t, p, mag, cfg: time_value_and_grad(t, p, mag, cfg, "L1"), False),
+    "time_l2": (lambda t, p, mag, cfg: time_value_and_grad(t, p, mag, cfg, "L2"), False),
+    "cos_derv": (lambda t, p, mag, cfg: derivative_value_and_grad(t, p, "cos"), False),
+    "aw_derv": (lambda t, p, mag, cfg: derivative_value_and_grad(t, p, "aw"), False),
+}
+_BASES = tuple(name.removesuffix("_derv") for name in LOSSES if name.endswith("_derv"))
 
 
 def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
     """Evaluate a loss by name with per-frame breakdown where it exists.
 
-    For the derivative-augmented losses the diagnostics carry the boundary
-    contribution (column 0 of the frequency differences, row 0 of the time
-    differences), which has no left neighbour and is reported separately.
+    The per-frame breakdown exists for the losses that are plain sums over
+    bins: entry m is the loss of frame m alone. For the derivative-augmented
+    losses the diagnostics carry the boundary contribution (column 0 of the
+    frequency differences, row 0 of the time differences), which has no left
+    neighbour and is reported separately.
     """
+    if name not in LOSSES:
+        raise InputError(f"unknown loss {name!r}")
+    value_and_grad, per_bin = LOSSES[name]
     p = np.asarray(p, dtype=np.float64)
     p_est = np.asarray(p_est, dtype=np.float64)
-    if name == "cos":
-        per = -np.sum(np.cos(p - p_est), axis=1)
-        return LossReport(name, float(per.sum()), per)
-    if name == "aw":
-        per = np.sum(wrap_residual(p - p_est) ** 2, axis=1)
-        return LossReport(name, float(per.sum()), per)
-    if name in ("comp_l1", "comp_l2"):
-        norm = "L1" if name.endswith("l1") else "L2"
-        _check_shapes(p, p_est, mag)
-        delta = p - p_est
-        if norm == "L2":
-            terms = 2.0 * mag * (1.0 - np.cos(delta))
-        else:
-            terms = mag * np.sqrt(np.maximum(2.0 - 2.0 * np.cos(delta), 0.0))
-        per = terms.sum(axis=1)
-        return LossReport(name, float(per.sum()), per)
-    if name in ("time_l1", "time_l2"):
-        norm = "L1" if name.endswith("l1") else "L2"
-        value = loss_time(p, p_est, mag, config, norm)
-        return LossReport(name, value, None)
-    if name in ("cos_derv", "aw_derv"):
-        base = name.split("_")[0]
-        fn = _BASES[base]
-        value, _ = derivative_value_and_grad(p, p_est, base)
-        gd_ref, gd_est = group_delay(p), group_delay(p_est)
-        if_ref, if_est = inst_freq(p), inst_freq(p_est)
-        boundary = (fn(gd_ref[:, :1], gd_est[:, :1])[0]
-                    + fn(if_ref[:1, :], if_est[:1, :])[0])
-        return LossReport(name, value, None, {"boundary_contribution": boundary})
-    raise InputError(f"unknown loss {name!r}")
+    report = LossReport(name, value_and_grad(p, p_est, mag, config)[0])
+    if per_bin:
+        rows = [value_and_grad(p[i:i + 1], p_est[i:i + 1],
+                               None if mag is None else np.asarray(mag)[i:i + 1],
+                               config)[0] for i in range(p.shape[0])]
+        report.per_frame = np.array(rows)
+    if name.endswith("_derv"):
+        fn = LOSSES[name.removesuffix("_derv")][0]
+        freq_edge = fn(group_delay(p)[:, :1], group_delay(p_est)[:, :1], None, None)
+        time_edge = fn(inst_freq(p)[:1], inst_freq(p_est)[:1], None, None)
+        report.diagnostics["boundary_contribution"] = freq_edge[0] + time_edge[0]
+    return report

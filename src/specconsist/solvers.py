@@ -17,8 +17,7 @@ from .consistency import ec_loss_and_grad, get_kernel, loss_ec
 from .errors import DivergenceError, InputError
 from .stft import Signal, Spectrogram, StftConfig, istft, stft
 
-LOSSES = ("ec", "cos", "aw", "comp_l1", "comp_l2", "time_l1", "time_l2",
-          "cos_derv", "aw_derv")
+LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
 STEP_RULES = ("fixed", "cosine_anneal")
 PARAMETERIZATIONS = ("direct_phase", "c1_c2")
@@ -234,18 +233,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
 def _loss_and_grad(name, mag, phase, target, config, kernel):
     if name == "ec":
         return ec_loss_and_grad(mag, phase, kernel)
-    if name == "cos":
-        return phase_losses.cos_value_and_grad(target, phase)
-    if name == "aw":
-        return phase_losses.aw_value_and_grad(target, phase)
-    if name in ("comp_l1", "comp_l2"):
-        norm = "L1" if name.endswith("l1") else "L2"
-        return phase_losses.complex_value_and_grad(target, phase, mag, norm)
-    if name in ("time_l1", "time_l2"):
-        norm = "L1" if name.endswith("l1") else "L2"
-        return phase_losses.time_value_and_grad(target, phase, mag, config, norm)
-    base = name.split("_")[0]
-    return phase_losses.derivative_value_and_grad(target, phase, base)
+    return phase_losses.LOSSES[name][0](target, phase, mag, config)
 
 
 def reconstruct_signal(mag, phase, config: StftConfig, length: int | None = None,

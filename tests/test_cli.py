@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import specconsist as sc
-from specconsist import cli
+from specconsist import cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import stft
 
@@ -44,6 +45,42 @@ class TestResolveConfig:
         cfg_file.write_text(json.dumps({"stft": {"window_len": 500, "hop": 64}}))
         with pytest.raises(sc.ConfigError):
             cli.resolve_config(cfg_file)
+
+
+class TestTables:
+    def test_solver_defaults_come_from_solver_options(self):
+        defaults = sc.SolverOptions()
+        section = dict(cli.DEFAULT_CONFIG["solver"])
+        assert section.pop("kind") == "gd"
+        fields = {f.name for f in dataclasses.fields(sc.SolverOptions)}
+        assert set(section) == fields - {"seed", "init_phase"}
+        assert section == {name: getattr(defaults, name) for name in section}
+        assert cli.DEFAULT_CONFIG["seed"] == defaults.seed
+
+    def test_every_loss_has_a_cli_spelling_and_runs(self, cfg_64_16):
+        spellings = {name: flag for flag, name in cli.LOSS_FLAGS.items()}
+        assert set(spellings) == set(solvers.LOSSES)
+        parser = cli.build_parser()
+        rng = np.random.default_rng(0)
+        mag = rng.uniform(0, 1, (4, 64))
+        target = rng.uniform(-np.pi, np.pi, (4, 64))
+        for name in solvers.LOSSES:
+            args = parser.parse_args(["reconstruct", "in.wav", "--loss", spellings[name]])
+            assert cli._config_overrides(args)["loss"] == name
+            _, trace = solvers.gd_reconstruct(
+                mag, name, None if name == "ec" else target,
+                sc.SolverOptions(max_iters=2), cfg_64_16)
+            assert np.all(np.isfinite(trace.losses))
+
+    def test_solver_section_extra_key_and_string_number(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(
+            {"solver": {"extra_key": 1, "initial_step": "0.01", "max_iters": "7"}}))
+        resolved = cli.resolve_config(cfg_file)
+        assert resolved["solver"]["extra_key"] == 1
+        assert resolved["solver"]["initial_step"] == "0.01"
+        opts = cli._solver_options(resolved)
+        assert (opts.initial_step, opts.max_iters) == (0.01, 7)
 
 
 class TestAnalyze:
@@ -134,6 +171,13 @@ class TestReconstruct:
         out = tmp_path / "run"
         code = cli.main(["reconstruct", str(mat), "--solver", "gla",
                          "--iters", "5", "--out", str(out)] + STFT_FLAGS)
+        assert code == 0
+
+    def test_radius_beyond_signal_length(self, tmp_path):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, duration=0.05)  # 400 samples
+        code = cli.main(["reconstruct", str(wav), "--iters", "3", "--radius", "1000",
+                         "--out", str(tmp_path / "run")] + STFT_FLAGS)
         assert code == 0
 
     def test_divergence_exit_code_with_partial_trace(self, tmp_path):

@@ -98,6 +98,12 @@ class TestAlignedSnr:
             aligned, _ = sc.aligned_snr(x, y, 10)
             assert aligned >= sc.plain_snr(x, y)
 
+    def test_radius_beyond_signal_length(self, rng):
+        # shifts of 400 or more samples compare against an all-zero estimate
+        ref = rng.standard_normal(400)
+        est = np.roll(ref, 3) + 0.1 * rng.standard_normal(400)
+        assert sc.aligned_snr(ref, est, 1000) == sc.aligned_snr(ref, est, 399)
+
     def test_errors(self, rng):
         with pytest.raises(sc.InputError):
             sc.aligned_snr(np.zeros(3), np.zeros(4), 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specconsist as sc
 from specconsist import phase_losses as pl
@@ -232,13 +234,17 @@ class TestGradients:
 
 
 class TestLossReport:
-    def test_per_frame_sums_to_value(self, rng):
-        p = rng.uniform(-np.pi, np.pi, (6, 8))
-        q = rng.uniform(-np.pi, np.pi, (6, 8))
-        a = rng.uniform(0, 1, (6, 8))
-        for name, extra in (("cos", {}), ("aw", {}), ("comp_l2", {"mag": a})):
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 9), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_per_frame_sums_to_value(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-np.pi, np.pi, (m, n))
+        q = rng.uniform(-np.pi, np.pi, (m, n))
+        a = rng.uniform(0, 1, (m, n))
+        for name, extra in (("cos", {}), ("aw", {}), ("comp_l1", {"mag": a}),
+                            ("comp_l2", {"mag": a})):
             rep = pl.loss_report(name, p, q, **extra)
-            assert rep.per_frame.shape == (6,)
+            assert rep.per_frame.shape == (m,)
             assert rep.per_frame.sum() == pytest.approx(rep.value, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
