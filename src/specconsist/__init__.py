@@ -6,8 +6,8 @@ losses, two phase-reconstruction solvers, and desk-scale evaluation metrics.
 """
 
 from .audio_io import WavMeta, read_wav, synth, write_wav
-from .consistency import (ConsistencyKernel, compute_kernel, get_kernel,
-                          grad_loss_ec_phase, loss_ec, loss_ec_phase, residual)
+from .consistency import (ConsistencyKernel, get_kernel, grad_loss_ec_phase,
+                          loss_ec, loss_ec_phase, residual)
 from .errors import (AudioFormatError, ConfigError, DegenerateWindowError,
                      DivergenceError, InputError, MetricError, SpecConsistError)
 from .metrics import (Alignment, EvalReport, aligned_snr, consistency_measure,
@@ -28,12 +28,12 @@ __all__ = [
     "DegenerateWindowError", "DivergenceError", "EvalReport", "InputError",
     "LossReport", "MetricError", "Signal", "SolveTrace", "SolverOptions",
     "SpecConsistError", "Spectrogram", "StftConfig", "TraceRecord", "WavMeta",
-    "aligned_snr", "compress_magnitude", "compute_kernel",
-    "consistency_measure", "expand_half_spectrum", "gd_reconstruct",
-    "get_kernel", "grad_loss_ec_phase", "griffin_lim", "group_delay",
-    "inst_freq", "istft", "loss_aw", "loss_complex", "loss_cos", "loss_ec",
-    "loss_ec_phase", "loss_report", "loss_time", "loss_with_derivatives",
-    "make_config", "num_frames", "overlap_add", "plain_snr", "project",
-    "read_wav", "reconstruct_signal", "residual", "spectral_convergence",
-    "stft", "synth", "write_wav",
+    "aligned_snr", "compress_magnitude", "consistency_measure",
+    "expand_half_spectrum", "gd_reconstruct", "get_kernel",
+    "grad_loss_ec_phase", "griffin_lim", "group_delay", "inst_freq", "istft",
+    "loss_aw", "loss_complex", "loss_cos", "loss_ec", "loss_ec_phase",
+    "loss_report", "loss_time", "loss_with_derivatives", "make_config",
+    "num_frames", "overlap_add", "plain_snr", "project", "read_wav",
+    "reconstruct_signal", "residual", "spectral_convergence", "stft", "synth",
+    "write_wav",
 ]

@@ -80,24 +80,42 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
     if overrides:
         resolved = _deep_merge(resolved, overrides)
     # Fail early on anything the modules would reject.
+    for section in ("stft", "solver", "metrics", "io"):
+        if not isinstance(resolved[section], dict):
+            raise InputError(f"config section {section!r} must be a JSON object")
+    unknown = set(resolved["stft"]) - set(DEFAULT_CONFIG["stft"])
+    if unknown:
+        raise InputError(f"unknown stft config keys {sorted(unknown)}")
     make_config(**resolved["stft"])
     _solver_options(resolved).validate()
     if resolved["loss"] not in solvers.LOSSES:
         raise InputError(f"unknown loss {resolved['loss']!r}")
     if resolved["solver"]["kind"] not in SOLVER_KINDS:
         raise InputError(f"solver kind must be one of {SOLVER_KINDS}")
-    if resolved["metrics"]["search_radius"] < 0:
-        raise InputError("search radius must be nonnegative")
+    radius = resolved["metrics"]["search_radius"]
+    if type(radius) is not int or radius < 0:
+        raise InputError("search radius must be a nonnegative integer")
+    if not isinstance(resolved["io"]["output_dir"], str):
+        raise InputError("io.output_dir must be a string")
     return resolved
+
+
+def _number(kind, value, name: str):
+    """``kind(value)``; a config file may spell a number as a string such as "0.01"."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a number, got {value!r}") from None
 
 
 def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
     fields = {}
     for name, default in _SOLVER_DEFAULTS.items():
         value = cfg["solver"][name]
-        # A config file may spell a number as a string such as "0.01".
-        fields[name] = type(default)(value) if isinstance(default, (int, float)) else value
-    return solvers.SolverOptions(**fields, seed=int(cfg["seed"]), init_phase=init_phase)
+        fields[name] = (_number(type(default), value, f"solver.{name}")
+                        if isinstance(default, (int, float)) else value)
+    return solvers.SolverOptions(**fields, seed=_number(int, cfg["seed"], "seed"),
+                                 init_phase=init_phase)
 
 
 # argparse dest -> (dotted config path, map from flag value to config value)
@@ -180,9 +198,7 @@ def _load_reconstruct_input(args, config):
     """Returns (magnitude, noisy_phase_or_None, reference_or_None, sample_rate)."""
     path = Path(args.input)
     if path.suffix.lower() == ".npy":
-        arr = np.load(path)
-        if np.iscomplexobj(arr):
-            raise InputError("matrix input must be a real magnitude array")
+        arr = _load_npy(path)
         if arr.ndim != 2:
             raise InputError("matrix input must be 2-D (frames x bins)")
         if arr.shape[1] == config.window_len // 2 + 1:
@@ -195,6 +211,17 @@ def _load_reconstruct_input(args, config):
     signal, meta = audio_io.read_wav(path, downmix=args.downmix)
     spec = stft(signal, config)
     return spec.magnitude, spec.phase, signal, meta.sample_rate
+
+
+def _load_npy(path) -> np.ndarray:
+    """A real numeric array from a .npy file; pickled objects are never loaded."""
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise InputError(f"{path} is not a readable .npy array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{path} must hold a real numeric array, not {arr.dtype}")
+    return arr
 
 
 def cmd_reconstruct(args) -> int:
@@ -213,13 +240,13 @@ def cmd_reconstruct(args) -> int:
     elif cfg["solver"]["init"] == "provided":
         if args.init_phase is None:
             raise InputError("provided init requires --init-phase")
-        init_phase = np.load(args.init_phase)
+        init_phase = _load_npy(args.init_phase)
 
     target_phase = None
     if args.target_phase is not None:
         if cfg["loss"] == "ec":
             raise InputError("the consistency loss never consumes a target phase")
-        target_phase = np.load(args.target_phase)
+        target_phase = _load_npy(args.target_phase)
 
     opts = _solver_options(cfg, init_phase=init_phase)
     out_dir = Path(args.out) if args.out else Path(cfg["io"]["output_dir"])
@@ -307,7 +334,11 @@ def _compare_one(path: Path, loss_names, cfg, config):
 def cmd_compare(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
     config = make_config(**cfg["stft"])
-    loss_names = [LOSS_FLAGS[name.strip()] for name in args.losses.split(",")]
+    try:
+        loss_names = [LOSS_FLAGS[name.strip()] for name in args.losses.split(",")]
+    except KeyError as exc:
+        raise InputError(f"unknown loss {exc.args[0]!r}; expected one of "
+                         f"{sorted(LOSS_FLAGS)}") from None
     corpus = sorted(Path(args.corpus).glob("*.wav"))
     out_path = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "results.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -38,10 +38,12 @@ class SolverOptions:
     def validate(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
-        if self.initial_step <= 0 or self.final_step <= 0:
+        if not (self.initial_step > 0 and self.final_step > 0):
             raise InputError("step sizes must be positive")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise InputError("tolerance must be nonnegative")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.step_rule not in STEP_RULES:
             raise InputError(f"unknown step rule {self.step_rule!r}")
         if self.init not in INITS:
@@ -89,10 +91,16 @@ def _initial_phase(shape, opts: SolverOptions) -> np.ndarray:
         return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=shape)
     if opts.init_phase is None:
         raise InputError(f"init {opts.init!r} requires init_phase")
-    phase = np.asarray(opts.init_phase, dtype=np.float64)
+    return _check_phase(opts.init_phase, shape, "init_phase").copy()
+
+
+def _check_phase(phase, shape, name: str) -> np.ndarray:
+    phase = np.asarray(phase, dtype=np.float64)
     if phase.shape != shape:
-        raise InputError("init_phase shape does not match the magnitude")
-    return phase.copy()
+        raise InputError(f"{name} shape does not match the magnitude")
+    if not np.all(np.isfinite(phase)):
+        raise InputError(f"{name} contains non-finite entries")
+    return phase
 
 
 def _step_size(k: int, opts: SolverOptions) -> float:
@@ -105,10 +113,10 @@ def _step_size(k: int, opts: SolverOptions) -> float:
 
 def _check_magnitude(mag, config: StftConfig) -> np.ndarray:
     mag = np.asarray(mag, dtype=np.float64)
-    if mag.ndim != 2 or mag.shape[1] != config.window_len:
+    if mag.ndim != 2 or mag.shape[0] < 1 or mag.shape[1] != config.window_len:
         raise InputError("magnitude shape inconsistent with config")
-    if np.any(mag < 0):
-        raise InputError("magnitude entries must be nonnegative")
+    if not np.all(np.isfinite(mag) & (mag >= 0)):
+        raise InputError("magnitude entries must be finite and nonnegative")
     return mag
 
 
@@ -180,9 +188,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     else:
         if target_phase is None:
             raise InputError(f"loss {loss!r} requires a target phase")
-        target_phase = np.asarray(target_phase, dtype=np.float64)
-        if target_phase.shape != mag.shape:
-            raise InputError("target phase shape does not match the magnitude")
+        target_phase = _check_phase(target_phase, mag.shape, "target phase")
 
     kernel = get_kernel(config)
     norm_sq = float(np.sum(mag ** 2))

@@ -127,6 +127,9 @@ def make_config(window_len: int, hop: int, window_kind: str = "hann") -> StftCon
     requested window has zeros (no dual window exists, e.g. hann with
     ``window_len < 2 * hop``).
     """
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (window_len, hop)):
+        raise ConfigError("window_len and hop must be integers")
     if window_len <= 0 or hop <= 0:
         raise ConfigError("window_len and hop must be positive")
     if window_len % hop != 0:
@@ -212,13 +215,20 @@ def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:
     consistency analysis; ``istft`` wraps it for audio use.
     """
     data, config = _coerce_spec(spec, config)
-    n, r = config.window_len, config.hop
+    return _overlap_add(data, config, config.synthesis_window)
+
+
+def _overlap_add(data: np.ndarray, config: StftConfig,
+                 window: np.ndarray) -> np.ndarray:
+    n, r, q = config.window_len, config.hop, config.overlap_factor
     m = data.shape[0]
-    frames = np.fft.ifft(data, axis=1) * n * config.synthesis_window
-    y = np.zeros((m - 1) * r + n, dtype=np.complex128)
-    for i in range(m):
-        y[i * r : i * r + n] += frames[i]
-    return y
+    frames = (np.fft.ifft(data, axis=1) * n * window).reshape(m, q, r)
+    y = np.zeros((m + q - 1, r), dtype=np.complex128)
+    # Block j of frame i lands on output block i + j. Descending j adds the
+    # frames covering each output block in ascending frame order.
+    for j in reversed(range(q)):
+        y[j : j + m] += frames[:, j]
+    return y.ravel()
 
 
 def istft(spec, config: StftConfig | None = None, length: int | None = None,

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import specconsist as sc
 from specconsist import cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
-from specconsist.stft import stft
+from specconsist.stft import WINDOW_KINDS, stft
 
 
 def make_wav(path, kind="sine", sr=8000, duration=0.25, **params):
@@ -45,6 +47,27 @@ class TestResolveConfig:
         cfg_file.write_text(json.dumps({"stft": {"window_len": 500, "hop": 64}}))
         with pytest.raises(sc.ConfigError):
             cli.resolve_config(cfg_file)
+
+
+    @pytest.mark.parametrize("file_cfg", [
+        {"stft": {"window_len": "abc"}},
+        {"stft": {"hop": True}},
+        {"stft": {"window_len": 256, "hop": 64, "bogus": 1}},
+        {"stft": 5},
+        {"metrics": {"search_radius": "5"}},
+        {"solver": {"max_iters": "abc"}},
+        {"seed": None},
+        {"io": {"output_dir": 3}},
+    ])
+    def test_malformed_values_are_input_errors(self, tmp_path, file_cfg):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        with pytest.raises(sc.SpecConsistError):
+            cli.resolve_config(cfg_file)
+        wav = tmp_path / "in.wav"
+        make_wav(wav, duration=0.05)
+        assert cli.main(["analyze", str(wav), "--config", str(cfg_file),
+                         "--out", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
 
 
 class TestTables:
@@ -180,6 +203,55 @@ class TestReconstruct:
                          "--out", str(tmp_path / "run")] + STFT_FLAGS)
         assert code == 0
 
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_magnitude_is_input_error(self, tmp_path, solver, bad):
+        mag = np.ones((6, 256))
+        mag[2, 3] = bad
+        np.save(tmp_path / "mag.npy", mag)
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", solver,
+                         "--iters", "2", "--out", str(tmp_path / "run")] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [["--init", "provided", "--init-phase"],
+                                       ["--loss", "cos", "--target-phase"]])
+    @pytest.mark.parametrize("content", ["nan", "garbage", "object", "empty"])
+    def test_bad_phase_file_is_input_error(self, tmp_path, flags, content):
+        np.save(tmp_path / "mag.npy", np.ones((6, 256)))
+        phase_file = tmp_path / "p.npy"
+        if content == "nan":
+            phase = np.zeros((6, 256))
+            phase[0, 0] = np.nan
+            np.save(phase_file, phase)
+        elif content == "object":
+            np.save(phase_file, np.array([{}], dtype=object), allow_pickle=True)
+        else:
+            phase_file.write_bytes(b"not a numpy file" if content == "garbage" else b"")
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--iters", "2",
+                         *flags, str(phase_file), "--out", str(tmp_path / "run")]
+                        + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("content", ["garbage", "strings", "no frames"])
+    def test_bad_magnitude_file_is_input_error(self, tmp_path, content):
+        mat = tmp_path / "mag.npy"
+        if content == "garbage":
+            mat.write_bytes(b"not a numpy file")
+        else:
+            np.save(mat, np.full((6, 256), "a") if content == "strings"
+                    else np.ones((0, 256)))
+        code = cli.main(["reconstruct", str(mat), "--iters", "2",
+                         "--out", str(tmp_path / "run")] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--step", "nan"]])
+    def test_bad_solver_flags_are_input_errors(self, tmp_path, flags):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, duration=0.05)
+        code = cli.main(["reconstruct", str(wav), "--iters", "2", *flags,
+                         "--out", str(tmp_path / "run")] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+
     def test_divergence_exit_code_with_partial_trace(self, tmp_path):
         wav = tmp_path / "in.wav"
         signal = make_wav(wav)
@@ -235,6 +307,12 @@ class TestCompare:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
 
+    def test_unknown_loss_is_input_error(self, tmp_path):
+        corpus = self._make_corpus(tmp_path)
+        code = cli.main(["compare", str(corpus), "--losses", "ec,bogus",
+                         "--out", str(tmp_path / "r.csv")] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         corpus = self._make_corpus(tmp_path)
         args = ["compare", str(corpus), "--losses", "ec,cos", "--iters", "4",
@@ -271,3 +349,55 @@ class TestSynthCommand:
                          "--duration", "0.01", "--out", str(out)]) == 0
         signal, _ = sc.read_wav(out)
         assert signal.samples[5] == 1.0
+
+
+# Drawn JSON values: every known config key gets either a plausible value or
+# an arbitrary JSON value, and stray keys appear at the top and in sections.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 300),
+                          st.floats(), st.text(max_size=5))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2),
+                         st.dictionaries(st.text(max_size=4), _JSON_SCALARS,
+                                         max_size=2))
+_KNOWN_VALUES = {
+    "stft": {"window_len": st.sampled_from([16, 32, 64]),
+             "hop": st.sampled_from([4, 8, 16]),
+             "window_kind": st.sampled_from(WINDOW_KINDS)},
+    "solver": {name: st.just(default) for name, default
+               in cli.DEFAULT_CONFIG["solver"].items()},
+    "metrics": {"search_radius": st.integers(0, 64)},
+    "io": {"output_dir": st.just(".")},
+}
+
+
+@st.composite
+def _config_files(draw):
+    cfg = {}
+    for section, keys in _KNOWN_VALUES.items():
+        if draw(st.booleans()):
+            cfg[section] = draw(_JSON_VALUES)
+            continue
+        cfg[section] = {key: draw(st.one_of(good, _JSON_VALUES)) for key, good
+                        in keys.items() if draw(st.booleans())}
+        cfg[section].update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES,
+                                                 max_size=1)))
+    for key, good in (("loss", st.sampled_from(solvers.LOSSES)),
+                      ("seed", st.integers(0, 9))):
+        if draw(st.booleans()):
+            cfg[key] = draw(st.one_of(good, _JSON_VALUES))
+    cfg.update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=1)))
+    return cfg
+
+
+class TestConfigProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file_cfg=_config_files())
+    def test_analyze_exits_ok_or_input_error(self, tmp_path, file_cfg):
+        wav = tmp_path / "in.wav"
+        if not wav.exists():
+            make_wav(wav, duration=0.05)  # 400 samples
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        code = cli.main(["analyze", str(wav), "--config", str(cfg_file),
+                         "--out", str(tmp_path / "r.json")])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT)

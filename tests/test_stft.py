@@ -23,6 +23,16 @@ def naive_stft(x, config):
     return out
 
 
+def overlap_add_loop(data, config):
+    """Per-frame overlap-add, each frame added in order (reference path)."""
+    n, r = config.window_len, config.hop
+    frames = np.fft.ifft(data, axis=1) * n * config.synthesis_window
+    y = np.zeros((data.shape[0] - 1) * r + n, dtype=np.complex128)
+    for i, frame in enumerate(frames):
+        y[i * r : i * r + n] += frame
+    return y
+
+
 class TestMakeConfig:
     def test_paper_default_shape(self):
         cfg = make_config(512, 128, "hann")
@@ -144,6 +154,15 @@ class TestIstft:
         spec = stft(np.ones(1024), cfg_512_128)
         with pytest.raises(InputError):
             istft(spec, cfg_256_64)
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 9])
+    def test_overlap_add_bitwise_equals_frame_loop(self, cfg_64_16, cfg_rect_4,
+                                                   rng, m):
+        # same additions in the same order, so the result is bit-identical
+        for cfg in (cfg_64_16, cfg_rect_4):
+            h = (rng.standard_normal((m, cfg.window_len))
+                 + 1j * rng.standard_normal((m, cfg.window_len)))
+            assert np.array_equal(overlap_add(h, cfg), overlap_add_loop(h, cfg))
 
     def test_overlap_add_is_exact_linear_inverse(self, cfg_64_16, rng):
         # re-analysis of the complex overlap-add at the same frame positions
