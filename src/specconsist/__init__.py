@@ -6,8 +6,8 @@ losses, two phase-reconstruction solvers, and desk-scale evaluation metrics.
 """
 
 from .audio_io import WavMeta, read_wav, synth, write_wav
-from .consistency import (ConsistencyKernel, get_kernel, grad_loss_ec_phase,
-                          loss_ec, loss_ec_phase, residual)
+from .consistency import (get_kernel, grad_loss_ec_phase, loss_ec,
+                          loss_ec_phase, residual)
 from .errors import (AudioFormatError, ConfigError, DegenerateWindowError,
                      DivergenceError, InputError, MetricError, SpecConsistError)
 from .metrics import (Alignment, EvalReport, aligned_snr, consistency_measure,
@@ -24,7 +24,7 @@ from .stft import (Signal, Spectrogram, StftConfig, compress_magnitude,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alignment", "AudioFormatError", "ConfigError", "ConsistencyKernel",
+    "Alignment", "AudioFormatError", "ConfigError",
     "DegenerateWindowError", "DivergenceError", "EvalReport", "InputError",
     "LossReport", "MetricError", "Signal", "SolveTrace", "SolverOptions",
     "SpecConsistError", "Spectrogram", "StftConfig", "TraceRecord", "WavMeta",

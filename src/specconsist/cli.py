@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, metrics, solvers
-from .consistency import get_kernel
 from .errors import DivergenceError, InputError, SpecConsistError
 from .stft import WINDOW_KINDS, expand_half_spectrum, make_config, stft
 
@@ -175,7 +174,7 @@ def cmd_analyze(args) -> int:
     config = make_config(**cfg["stft"])
     signal, meta = audio_io.read_wav(args.input, downmix=args.downmix)
     spec = stft(signal, config)
-    measure = metrics.consistency_measure(spec, get_kernel(config))
+    measure = metrics.consistency_measure(spec, config)
     report = {
         "command": "analyze",
         "config": cfg,
@@ -280,17 +279,9 @@ def cmd_reconstruct(args) -> int:
         "eval": None,
     }
     if reference is not None:
-        est_spec = stft(recon, config)
-        snr, alignment = metrics.aligned_snr(
-            reference, recon, cfg["metrics"]["search_radius"])
-        report_eval = metrics.EvalReport(
-            consistency_measure=trace.records[trace.best_iteration].consistency_measure,
-            spectral_convergence_db=metrics.spectral_convergence(
-                mag, est_spec.magnitude),
-            aligned_snr_db=snr,
-            alignment=alignment,
-        )
-        results["eval"] = report_eval.to_dict()
+        results["eval"] = metrics.evaluate(
+            reference, recon, mag, phase, config,
+            cfg["metrics"]["search_radius"]).to_dict()
 
     audio_io.write_wav(recon, audio_io.WavMeta(sample_rate, 1, args.encoding,
                                                len(recon)),
@@ -312,22 +303,17 @@ def _compare_one(path: Path, loss_names, cfg, config):
     signal, _ = audio_io.read_wav(path)
     spec = stft(signal, config)
     mag, clean_phase = spec.magnitude, spec.phase
-    kernel = get_kernel(config)
     rows = []
     for loss in loss_names:
         target = None if loss == "ec" else clean_phase
         opts = _solver_options(cfg)
         phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config)
         recon = solvers.reconstruct_signal(mag, phase, config, length=len(signal))
-        snr, _ = metrics.aligned_snr(signal, recon, cfg["metrics"]["search_radius"])
-        est_mag = stft(recon, config).magnitude
-        rows.append([
-            str(path), loss,
-            trace.records[trace.best_iteration].loss,
-            metrics.consistency_measure(mag * np.exp(1j * phase), kernel),
-            snr,
-            metrics.spectral_convergence(mag, est_mag),
-        ])
+        scores = metrics.evaluate(signal, recon, mag, phase, config,
+                                  cfg["metrics"]["search_radius"])
+        rows.append([str(path), loss, trace.records[trace.best_iteration].loss,
+                     scores.consistency_measure, scores.aligned_snr_db,
+                     scores.spectral_convergence_db])
     return rows
 
 

@@ -23,24 +23,15 @@ table is kept in the tests as the oracle that checks this equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 from .stft import StftConfig, _analyze_frames, _coerce_spec, _overlap_add
 
 
-@dataclass(frozen=True)
-class ConsistencyKernel:
-    """Handle on the consistency operator of one STFT config."""
-
-    config: StftConfig
-
-
-def get_kernel(config: StftConfig) -> ConsistencyKernel:
-    """The consistency operator for a config."""
-    return ConsistencyKernel(config)
+def get_kernel(config: StftConfig) -> StftConfig:
+    """Returns ``config``; kept because the benchmark harness calls it by name."""
+    return config
 
 
 def _apply(h: np.ndarray, config: StftConfig, analysis: np.ndarray,
@@ -53,21 +44,20 @@ def _apply(h: np.ndarray, config: StftConfig, analysis: np.ndarray,
     return _analyze_frames(y, config, h.shape[0], analysis) - h
 
 
-def residual(spec, kernel: ConsistencyKernel) -> np.ndarray:
+def residual(spec, config: StftConfig) -> np.ndarray:
     """Per-bin consistency residual; zero everywhere iff ``spec`` is a true STFT."""
-    config = kernel.config
     return _apply(_coerce_spec(spec, config)[0], config,
                   config.analysis_window, config.synthesis_window)
 
 
-def loss_ec(spec, kernel: ConsistencyKernel) -> float:
+def loss_ec(spec, config: StftConfig) -> float:
     """Sum of squared residual magnitudes (unnormalized)."""
-    r = residual(spec, kernel)
+    r = residual(spec, config)
     return float(np.vdot(r, r).real)
 
 
 def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
-                  kernel: ConsistencyKernel) -> float:
+                  config: StftConfig) -> float:
     """Consistency loss of ``mag * exp(1j * phase)``.
 
     Depends on the phase only through the resulting complex array, so it is
@@ -75,18 +65,18 @@ def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
     (the sign ambiguity of magnitude-only reconstruction).
     """
     h = _combine(mag, phase)
-    return loss_ec(h, kernel)
+    return loss_ec(h, config)
 
 
 def grad_loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
-                       kernel: ConsistencyKernel) -> np.ndarray:
+                       config: StftConfig) -> np.ndarray:
     """Analytic gradient of ``loss_ec_phase`` with respect to the phase."""
-    _, grad = ec_loss_and_grad(mag, phase, kernel)
+    _, grad = ec_loss_and_grad(mag, phase, config)
     return grad
 
 
 def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
-                     kernel: ConsistencyKernel) -> tuple[float, np.ndarray]:
+                     config: StftConfig) -> tuple[float, np.ndarray]:
     """Loss and phase gradient in one residual evaluation.
 
     With C the residual operator and H = mag * exp(1j*phase), the gradient is
@@ -95,7 +85,6 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
     idempotent only away from the first and last Q-1 frames, so g differs from
     -2 * C H there and the adjoint is applied in full.
     """
-    config = kernel.config
     w, s = config.analysis_window, config.synthesis_window
     h = _combine(mag, phase)
     r = _apply(h, config, w, s)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import ConsistencyKernel, loss_ec
+from .consistency import loss_ec
 from .errors import InputError, MetricError
-from .stft import Signal, _coerce_spec
+from .stft import Signal, StftConfig, _coerce_spec, stft
 
 DB_CLAMP = 300.0
 
@@ -46,13 +46,13 @@ class EvalReport:
         }
 
 
-def consistency_measure(spec, kernel: ConsistencyKernel) -> float:
+def consistency_measure(spec, config: StftConfig) -> float:
     """Normalized residual norm sqrt(loss / ||H||^2); 0 iff consistent."""
-    data, _ = _coerce_spec(spec, kernel.config)
+    data, _ = _coerce_spec(spec, config)
     norm_sq = float(np.vdot(data, data).real)
     if norm_sq == 0.0:
         raise MetricError("consistency measure undefined for a zero spectrogram")
-    return float(np.sqrt(loss_ec(data, kernel) / norm_sq))
+    return float(np.sqrt(loss_ec(data, config) / norm_sq))
 
 
 def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:
@@ -109,6 +109,15 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
             if snr > best[0]:
                 best = (snr, Alignment(sign, shift))
     return best
+
+
+def evaluate(reference, recon, mag, phase, config: StftConfig,
+             search_radius: int) -> EvalReport:
+    """Scores of ``recon``, resynthesized from ``mag * exp(1j * phase)``."""
+    snr, alignment = aligned_snr(reference, recon, search_radius)
+    sc_db = spectral_convergence(mag, stft(recon, config).magnitude)
+    measure = consistency_measure(mag * np.exp(1j * phase), config)
+    return EvalReport(measure, sc_db, snr, alignment)
 
 
 def plain_snr(ref, est) -> float:

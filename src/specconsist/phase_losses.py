@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .stft import StftConfig, _analyze_frames, overlap_add
+from .stft import StftConfig, _analyze_frames, _pad_signal, _synthesize
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,16 +111,14 @@ def loss_time(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
 def time_value_and_grad(p, p_est, mag, config, norm="L2"):
     _check_shapes(p, p_est, mag)
     mag = np.asarray(mag, dtype=np.float64)
-    n, r = config.window_len, config.hop
-    if np.asarray(p).shape[1] != n:
+    if np.asarray(p).shape[1] != config.window_len:
         raise InputError("phase field width inconsistent with config")
     m = np.asarray(p).shape[0]
-    length = m * r
+    length = m * config.hop
     h_est = mag * np.exp(1j * np.asarray(p_est, dtype=np.float64))
-    y_ref = overlap_add(mag * np.exp(1j * np.asarray(p, dtype=np.float64)),
-                        config).real[n - r : n - r + length]
-    y_est = overlap_add(h_est, config).real[n - r : n - r + length]
-    diff = y_ref - y_est
+    y_ref = _synthesize(mag * np.exp(1j * np.asarray(p, dtype=np.float64)),
+                        config, length)
+    diff = y_ref - _synthesize(h_est, config, length)
     if norm == "L2":
         value = float(np.sum(diff ** 2))
         rho = -2.0 * diff
@@ -129,11 +127,10 @@ def time_value_and_grad(p, p_est, mag, config, norm="L2"):
         rho = -np.sign(diff)
     else:
         raise InputError(f"unknown norm {norm!r}; expected 'L1' or 'L2'")
-    # Pull rho back through the synthesis: embed at the padded offset and
+    # Pull rho back through the synthesis: pad it as ``stft`` pads a signal and
     # analyze with the synthesis window at the same m frame positions.
-    padded = np.zeros((m - 1) * r + n)
-    padded[n - r : n - r + length] = rho
-    u = _analyze_frames(padded, config, m, window=config.synthesis_window)
+    u = _analyze_frames(_pad_signal(rho, config)[0], config, m,
+                        window=config.synthesis_window)
     grad = -np.imag(np.conj(u) * h_est)
     return value, grad
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase_losses
-from .consistency import ec_loss_and_grad, get_kernel, loss_ec
+from .consistency import ec_loss_and_grad, loss_ec
 from .errors import DivergenceError, InputError
 from .stft import Signal, Spectrogram, StftConfig, istft, stft
 
@@ -120,10 +120,11 @@ def _check_magnitude(mag, config: StftConfig) -> np.ndarray:
     return mag
 
 
-def _normalized_inconsistency(h: np.ndarray, kernel, norm_sq: float) -> float:
+def _normalized(loss: float, norm_sq: float) -> float:
+    """sqrt(loss / ||mag||^2), the consistency measure; 0.0 for a zero magnitude."""
     if norm_sq == 0.0:
         return 0.0
-    return float(np.sqrt(loss_ec(h, kernel) / norm_sq))
+    return float(np.sqrt(loss / norm_sq))
 
 
 def griffin_lim(mag, opts: SolverOptions, config: StftConfig
@@ -144,7 +145,6 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
         raise InputError(
             f"need at least Q={config.overlap_factor} frames, got {m}")
     sig_len = m * r - n + r
-    kernel = get_kernel(config)
     norm_sq = float(np.sum(mag ** 2))
     phase = _initial_phase(mag.shape, opts)
 
@@ -156,7 +156,7 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
         z = stft(x, config).data
         inconsistency = float(np.vdot(h - z, h - z).real)
         trace.records.append(TraceRecord(
-            k, inconsistency, _normalized_inconsistency(h, kernel, norm_sq), 0.0))
+            k, inconsistency, _normalized(loss_ec(h, config), norm_sq), 0.0))
         # Keep the previous phase wherever the projection is exactly zero.
         nz = np.abs(z) > 0.0
         phase = np.where(nz, np.angle(z), phase)
@@ -190,7 +190,6 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
             raise InputError(f"loss {loss!r} requires a target phase")
         target_phase = _check_phase(target_phase, mag.shape, "target phase")
 
-    kernel = get_kernel(config)
     norm_sq = float(np.sum(mag ** 2))
     phase = _initial_phase(mag.shape, opts)
     use_c1c2 = opts.parameterization == "c1_c2"
@@ -204,12 +203,9 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     for k in range(opts.max_iters):
         if use_c1c2:
             phase = np.arctan2(c1, c2)
-        value, grad = _loss_and_grad(loss, mag, phase, target_phase, config, kernel)
-        if loss == "ec":
-            measure = 0.0 if norm_sq == 0.0 else float(np.sqrt(value / norm_sq))
-        else:
-            measure = _normalized_inconsistency(mag * np.exp(1j * phase),
-                                                kernel, norm_sq)
+        value, grad = _loss_and_grad(loss, mag, phase, target_phase, config)
+        ec = value if loss == "ec" else loss_ec(mag * np.exp(1j * phase), config)
+        measure = _normalized(ec, norm_sq)
         step = _step_size(k, opts)
         trace.records.append(TraceRecord(k, value, measure, step))
         if not np.isfinite(value):
@@ -236,9 +232,9 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     return best_phase, trace
 
 
-def _loss_and_grad(name, mag, phase, target, config, kernel):
+def _loss_and_grad(name, mag, phase, target, config):
     if name == "ec":
-        return ec_loss_and_grad(mag, phase, kernel)
+        return ec_loss_and_grad(mag, phase, config)
     return phase_losses.LOSSES[name][0](target, phase, mag, config)
 
 
@@ -246,8 +242,6 @@ def reconstruct_signal(mag, phase, config: StftConfig, length: int | None = None
                        sample_rate: int = 1) -> Signal:
     """Inverse STFT of ``mag * exp(1j * phase)``."""
     mag = _check_magnitude(mag, config)
-    phase = np.asarray(phase, dtype=np.float64)
-    if phase.shape != mag.shape:
-        raise InputError("magnitude and phase shapes differ")
+    phase = _check_phase(phase, mag.shape, "phase")
     h = Spectrogram(mag * np.exp(1j * phase), config)
     return istft(h, length=length, sample_rate=sample_rate)

@@ -241,15 +241,19 @@ def istft(spec, config: StftConfig | None = None, length: int | None = None,
     any spectrogram of a real signal.
     """
     data, config = _coerce_spec(spec, config)
-    n, r = config.window_len, config.hop
     m = data.shape[0]
-    full = m * r
+    full = m * config.hop
     if length is None:
         length = full
     if length < 0 or length > full:
         raise InputError(f"length must be in [0, {full}] for {m} frames")
-    y = overlap_add(data, config)
-    return Signal(y.real[n - r : n - r + length], sample_rate=sample_rate)
+    return Signal(_synthesize(data, config, length), sample_rate=sample_rate)
+
+
+def _synthesize(data: np.ndarray, config: StftConfig, length: int) -> np.ndarray:
+    """``istft`` samples without its checks, so non-finite values pass through."""
+    start = config.window_len - config.hop
+    return overlap_add(data, config).real[start : start + length]
 
 
 def project(spec, config: StftConfig | None = None) -> Spectrogram:

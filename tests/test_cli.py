@@ -148,6 +148,21 @@ class TestReconstruct:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["eval"]["aligned_snr_db"] > -300
 
+    def test_gla_report_scores_the_returned_phase(self, tmp_path):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, "chirp", duration=0.5, f0=200.0, f1=1500.0)
+        out = tmp_path / "run"
+        assert cli.main(["reconstruct", str(wav), "--solver", "gla", "--iters", "30",
+                         "--reference", str(wav), "--out", str(out)] + STFT_FLAGS) == 0
+        report = json.loads((out / "report.json").read_text())
+        cfg = report["config"]
+        config = sc.make_config(**cfg["stft"])
+        mag = stft(sc.read_wav(wav)[0], config).magnitude
+        phase, _ = solvers.griffin_lim(mag, cli._solver_options(cfg), config)
+        expected = sc.consistency_measure(mag * np.exp(1j * phase), config)
+        assert report["results"]["eval"]["consistency_measure"] == pytest.approx(
+            expected, rel=1e-12, abs=0)
+
     def test_gd_ec_improves_consistency(self, tmp_path):
         wav = tmp_path / "in.wav"
         make_wav(wav)
@@ -312,6 +327,19 @@ class TestCompare:
         code = cli.main(["compare", str(corpus), "--losses", "ec,bogus",
                          "--out", str(tmp_path / "r.csv")] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unreadable_file_aborts_without_csv(self, tmp_path, monkeypatch,
+                                                capsys, threads):
+        corpus = self._make_corpus(tmp_path)
+        (corpus / "b0.wav").write_bytes(b"RIFFgarbage")
+        out = tmp_path / "r.csv"
+        monkeypatch.setenv("SPECCONSIST_THREADS", threads)
+        code = cli.main(["compare", str(corpus), "--losses", "ec", "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert "b0.wav" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         corpus = self._make_corpus(tmp_path)

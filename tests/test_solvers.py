@@ -149,7 +149,7 @@ class TestGdReconstruct:
             final = sc.loss_ec_phase(mag, phase, kernel)
         else:
             from specconsist.solvers import _loss_and_grad
-            final, _ = _loss_and_grad(loss, mag, phase, target, cfg_64_16, kernel)
+            final, _ = _loss_and_grad(loss, mag, phase, target, cfg_64_16)
         assert final <= trace.records[0].loss * (1 + 1e-12)
 
     def test_deterministic_traces(self, cfg_64_16, rng):
@@ -169,6 +169,19 @@ class TestGdReconstruct:
                 np.errstate(invalid="ignore"):
             gd_reconstruct(np.ones((6, 64)), "cos", target, opts, cfg_64_16)
         assert excinfo.value.trace is not None
+        assert len(excinfo.value.trace.records) >= 2
+
+    @pytest.mark.parametrize("loss", ["time_l1", "time_l2"])
+    def test_time_loss_divergence_raises_with_trace(self, cfg_64_16, rng, loss):
+        # The time loss resynthesizes a signal; a non-finite phase must come
+        # back as a non-finite loss, not as an input error on that signal.
+        target = rng.uniform(-np.pi, np.pi, (6, 64))
+        opts = SolverOptions(max_iters=5, step_rule="fixed",
+                             initial_step=np.inf, final_step=np.inf,
+                             init="provided", init_phase=target + 0.1)
+        with pytest.raises(sc.DivergenceError) as excinfo, \
+                np.errstate(invalid="ignore", over="ignore"):
+            gd_reconstruct(np.ones((6, 64)), loss, target, opts, cfg_64_16)
         assert len(excinfo.value.trace.records) >= 2
 
     def test_c1_c2_parameterization_descends(self, cfg_64_16, rng):
