@@ -11,7 +11,9 @@ from .errors import AudioFormatError, InputError
 from .stft import Signal
 
 ENCODINGS = ("pcm16", "float32")
-SYNTH_KINDS = ("sine", "multisine", "chirp", "noise", "impulse")
+# synth kind -> the parameters it requires
+SYNTH_KINDS = {"sine": ("freq",), "multisine": ("freqs",), "chirp": ("f0", "f1"),
+               "noise": (), "impulse": ()}
 
 _PCM16_SCALE = 32768.0
 
@@ -63,6 +65,8 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     pcm16 clips to [-1, 1] before quantizing by 32768; float32 is written
     verbatim. A zero-length signal is rejected.
     """
+    if meta is None and not isinstance(signal, Signal):
+        raise InputError("a bare sample array needs a WavMeta for its sample rate")
     x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, float)
     if x.size == 0:
         raise InputError("refusing to write a zero-length WAV file")
@@ -93,8 +97,11 @@ def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
       impulse   position=0, amp=1
     """
     params = dict(params or {})
-    if sr <= 0:
-        raise InputError("sample rate must be positive")
+    missing = [name for name in SYNTH_KINDS.get(kind, ()) if params.get(name) is None]
+    if missing:
+        raise InputError(f"synth {kind} requires {', '.join(missing)}")
+    if sr <= 0 or not np.isfinite(duration):
+        raise InputError("sample rate must be positive and duration finite")
     n = int(round(sr * duration))
     if n <= 0:
         raise InputError("duration too short for the sample rate")
@@ -125,9 +132,10 @@ def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
         sweep = (f1 - f0) / (2.0 * duration)
         x = amp * np.sin(2.0 * np.pi * (f0 * t + sweep * t * t))
     elif kind == "noise":
-        amp = float(params.get("amp", 1.0))
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        x = rng.uniform(-amp, amp, size=n)
+        amp, seed = float(params.get("amp", 1.0)), int(params.get("seed", 0))
+        if not np.isfinite(amp) or seed < 0:
+            raise InputError("noise needs a finite amp and a nonnegative seed")
+        x = np.random.default_rng(seed).uniform(-amp, amp, size=n)
     elif kind == "impulse":
         position = int(params.get("position", 0))
         if not 0 <= position < n:
@@ -135,7 +143,8 @@ def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
         x = np.zeros(n)
         x[position] = float(params.get("amp", 1.0))
     else:
-        raise InputError(f"unknown synth kind {kind!r}; expected one of {SYNTH_KINDS}")
+        raise InputError(
+            f"unknown synth kind {kind!r}; expected one of {tuple(SYNTH_KINDS)}")
     return Signal(x, sample_rate=sr)
 
 

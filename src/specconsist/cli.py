@@ -275,7 +275,7 @@ def cmd_reconstruct(args) -> int:
         "iterations": len(trace.records),
         "best_iteration": trace.best_iteration,
         "initial_loss": trace.records[0].loss,
-        "final_loss": trace.records[trace.best_iteration].loss,
+        "final_loss": trace.final_loss,
         "eval": None,
     }
     if reference is not None:
@@ -311,7 +311,7 @@ def _compare_one(path: Path, loss_names, cfg, config):
         recon = solvers.reconstruct_signal(mag, phase, config, length=len(signal))
         scores = metrics.evaluate(signal, recon, mag, phase, config,
                                   cfg["metrics"]["search_radius"])
-        rows.append([str(path), loss, trace.records[trace.best_iteration].loss,
+        rows.append([str(path), loss, trace.final_loss,
                      scores.consistency_measure, scores.aligned_snr_db,
                      scores.spectral_convergence_db])
     return rows
@@ -383,6 +383,14 @@ def _add_common(sub):
     sub.add_argument("--window", choices=WINDOW_KINDS)
 
 
+def _add_solver_flags(sub):
+    sub.add_argument("--iters", type=int)
+    sub.add_argument("--step", type=float, help="initial step size")
+    sub.add_argument("--final-step", dest="final_step", type=float)
+    sub.add_argument("--step-rule", dest="step_rule", choices=solvers.STEP_RULES)
+    sub.add_argument("--radius", type=int, help="alignment search radius in samples")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specconsist",
@@ -403,16 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="WAV file or .npy magnitude matrix")
     p.add_argument("--solver", choices=SOLVER_KINDS)
     p.add_argument("--loss", choices=sorted(LOSS_FLAGS))
-    p.add_argument("--iters", type=int)
+    _add_solver_flags(p)
     p.add_argument("--init", choices=sorted(INIT_FLAGS))
     p.add_argument("--init-phase", dest="init_phase", help=".npy phase for --init provided")
     p.add_argument("--target-phase", dest="target_phase",
                    help=".npy target phase for target-based losses")
-    p.add_argument("--step", type=float, help="initial step size")
-    p.add_argument("--final-step", dest="final_step", type=float)
-    p.add_argument("--step-rule", dest="step_rule", choices=solvers.STEP_RULES)
     p.add_argument("--reference", help="WAV reference for the evaluation report")
-    p.add_argument("--radius", type=int, help="alignment search radius in samples")
     p.add_argument("--sr", type=int, default=16000,
                    help="sample rate for matrix inputs (default 16000)")
     p.add_argument("--encoding", choices=audio_io.ENCODINGS, default="float32")
@@ -425,11 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="directory of WAV files")
     p.add_argument("--losses", default="ec,cos,aw",
                    help="comma-separated loss names (CLI spellings)")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--final-step", dest="final_step", type=float)
-    p.add_argument("--step-rule", dest="step_rule", choices=solvers.STEP_RULES)
-    p.add_argument("--radius", type=int)
+    _add_solver_flags(p)
     p.add_argument("--out", help="results CSV path (default <output_dir>/results.csv)")
     p.set_defaults(func=cmd_compare)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .stft import StftConfig, _analyze_frames, _coerce_spec, _overlap_add
+from .stft import StftConfig, _analyze_frames, _check_frames, _coerce_spec, _overlap_add
 
 
 def get_kernel(config: StftConfig) -> StftConfig:
@@ -64,8 +64,7 @@ def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
     invariant under any global phase shift, in particular under ``phase + pi``
     (the sign ambiguity of magnitude-only reconstruction).
     """
-    h = _combine(mag, phase)
-    return loss_ec(h, config)
+    return loss_ec(_combine(mag, phase, config), config)
 
 
 def grad_loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
@@ -86,16 +85,16 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
     -2 * C H there and the adjoint is applied in full.
     """
     w, s = config.analysis_window, config.synthesis_window
-    h = _combine(mag, phase)
+    h = _combine(mag, phase, config)
     r = _apply(h, config, w, s)
     loss = float(np.vdot(r, r).real)
     g = 2.0 * _apply(r, config, s, w)
     return loss, np.imag(np.conj(h) * g)
 
 
-def _combine(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+def _combine(mag: np.ndarray, phase: np.ndarray, config: StftConfig) -> np.ndarray:
     mag = np.asarray(mag, dtype=np.float64)
     phase = np.asarray(phase, dtype=np.float64)
     if mag.shape != phase.shape:
         raise InputError("magnitude and phase shapes differ")
-    return mag * np.exp(1j * phase)
+    return _check_frames(mag * np.exp(1j * phase), config, "magnitude")

@@ -6,7 +6,7 @@ external scoring tools can be applied downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,12 +38,7 @@ class EvalReport:
     alignment: Alignment
 
     def to_dict(self) -> dict:
-        return {
-            "consistency_measure": self.consistency_measure,
-            "spectral_convergence_db": self.spectral_convergence_db,
-            "aligned_snr_db": self.aligned_snr_db,
-            "alignment": {"sign": self.alignment.sign, "shift": self.alignment.shift},
-        }
+        return asdict(self)
 
 
 def consistency_measure(spec, config: StftConfig) -> float:

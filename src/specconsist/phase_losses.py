@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .stft import StftConfig, _analyze_frames, _pad_signal, _synthesize
+from .stft import StftConfig, _analyze_frames, _check_frames, _pad_signal, _synthesize
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,9 +111,7 @@ def loss_time(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
 def time_value_and_grad(p, p_est, mag, config, norm="L2"):
     _check_shapes(p, p_est, mag)
     mag = np.asarray(mag, dtype=np.float64)
-    if np.asarray(p).shape[1] != config.window_len:
-        raise InputError("phase field width inconsistent with config")
-    m = np.asarray(p).shape[0]
+    m = _check_frames(np.asarray(p), config, "phase").shape[0]
     length = m * config.hop
     h_est = mag * np.exp(1j * np.asarray(p_est, dtype=np.float64))
     y_ref = _synthesize(mag * np.exp(1j * np.asarray(p, dtype=np.float64)),
@@ -144,20 +142,17 @@ def group_delay(p: np.ndarray) -> np.ndarray:
 
     Column 0 has no left neighbour and holds wrap(P[:, 0]) itself.
     """
-    p = np.asarray(p, dtype=np.float64)
-    out = np.empty_like(p)
-    out[:, 0] = wrap_principal(p[:, 0])
-    out[:, 1:] = wrap_principal(p[:, 1:] - p[:, :-1])
-    return out
+    return _wrapped_diff(p, axis=1)
 
 
 def inst_freq(p: np.ndarray) -> np.ndarray:
     """Wrapped backward difference along the time axis (row 0 as in group_delay)."""
-    p = np.asarray(p, dtype=np.float64)
-    out = np.empty_like(p)
-    out[0, :] = wrap_principal(p[0, :])
-    out[1:, :] = wrap_principal(p[1:, :] - p[:-1, :])
-    return out
+    return _wrapped_diff(p, axis=0)
+
+
+def _wrapped_diff(p, axis: int) -> np.ndarray:
+    return wrap_principal(np.diff(np.asarray(p, dtype=np.float64), axis=axis,
+                                  prepend=0.0))
 
 
 def loss_with_derivatives(p: np.ndarray, p_est: np.ndarray, base: str) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from . import phase_losses
 from .consistency import ec_loss_and_grad, loss_ec
 from .errors import DivergenceError, InputError
-from .stft import Signal, Spectrogram, StftConfig, istft, stft
+from .stft import Signal, Spectrogram, StftConfig, _check_frames, istft, stft
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -62,15 +62,15 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration loss/consistency records plus the returned phase.
+    """Per-iteration records (the actual path, transient increases included).
 
-    The returned phase is the lowest-loss iterate observed; the records keep
-    the actual path (transient increases under a fixed step are legal and
-    recorded, never an error).
+    ``final_loss`` is the loss of the returned phase: record ``best_iteration``
+    for gradient descent, which returns its lowest-loss iterate; for
+    Griffin-Lim, the phase after the last projection, which no record scores.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
-    final_phase: np.ndarray | None = None
+    final_loss: float | None = None
     best_iteration: int = 0
 
     @property
@@ -112,9 +112,7 @@ def _step_size(k: int, opts: SolverOptions) -> float:
 
 
 def _check_magnitude(mag, config: StftConfig) -> np.ndarray:
-    mag = np.asarray(mag, dtype=np.float64)
-    if mag.ndim != 2 or mag.shape[0] < 1 or mag.shape[1] != config.window_len:
-        raise InputError("magnitude shape inconsistent with config")
+    mag = _check_frames(np.asarray(mag, dtype=np.float64), config, "magnitude")
     if not np.all(np.isfinite(mag) & (mag >= 0)):
         raise InputError("magnitude entries must be finite and nonnegative")
     return mag
@@ -151,10 +149,7 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     trace = SolveTrace()
     prev = None
     for k in range(opts.max_iters):
-        h = mag * np.exp(1j * phase)
-        x = istft(Spectrogram(h, config), length=sig_len)
-        z = stft(x, config).data
-        inconsistency = float(np.vdot(h - z, h - z).real)
+        h, z, inconsistency = _round_trip(mag, phase, config, sig_len)
         trace.records.append(TraceRecord(
             k, inconsistency, _normalized(loss_ec(h, config), norm_sq), 0.0))
         # Keep the previous phase wherever the projection is exactly zero.
@@ -164,9 +159,16 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
             break
         prev = inconsistency
 
-    trace.final_phase = phase
     trace.best_iteration = len(trace.records) - 1
+    trace.final_loss = _round_trip(mag, phase, config, sig_len)[2]
     return phase, trace
+
+
+def _round_trip(mag, phase, config: StftConfig, sig_len: int):
+    """H = mag e^{jP}, its projection Z = STFT(iSTFT(H)), and ||H - Z||^2."""
+    h = mag * np.exp(1j * phase)
+    z = stft(istft(Spectrogram(h, config), length=sig_len), config).data
+    return h, z, float(np.vdot(h - z, h - z).real)
 
 
 def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
@@ -209,7 +211,6 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
         step = _step_size(k, opts)
         trace.records.append(TraceRecord(k, value, measure, step))
         if not np.isfinite(value):
-            trace.final_phase = best_phase
             raise DivergenceError(
                 f"loss {loss!r} became non-finite at iteration {k}", trace=trace)
         if value < best_loss:
@@ -228,7 +229,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
             break
         prev = value
 
-    trace.final_phase = best_phase
+    trace.final_loss = best_loss
     return best_phase, trace
 
 

@@ -28,7 +28,7 @@ WINDOW_KINDS = ("hann", "rectangular")
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Window length, hop, and the analysis/synthesis window pair."""
+    """Window length, hop, and the window pair they determine (not compared)."""
 
     window_len: int
     hop: int
@@ -39,17 +39,6 @@ class StftConfig:
     @property
     def overlap_factor(self) -> int:
         return self.window_len // self.hop
-
-    @property
-    def key(self):
-        """Hashable identity; windows are derived from it deterministically."""
-        return (self.window_len, self.hop, self.window_kind)
-
-    def __eq__(self, other):
-        return isinstance(other, StftConfig) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
 
 @dataclass
@@ -78,14 +67,8 @@ class Spectrogram:
     config: StftConfig
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 2 or self.data.shape[0] < 1:
-            raise InputError("spectrogram data must be 2-D with at least one frame")
-        if self.data.shape[1] != self.config.window_len:
-            raise InputError(
-                f"spectrogram has {self.data.shape[1]} bins, "
-                f"config expects {self.config.window_len}"
-            )
+        self.data = _check_frames(np.asarray(self.data, dtype=np.complex128),
+                                  self.config, "spectrogram")
         if not np.all(np.isfinite(self.data)):
             raise InputError("spectrogram contains non-finite entries")
 
@@ -201,10 +184,16 @@ def _coerce_spec(spec, config: StftConfig | None) -> tuple[np.ndarray, StftConfi
         return spec.data, spec.config
     if config is None:
         raise InputError("a config is required for bare spectrogram arrays")
-    data = np.asarray(spec, dtype=np.complex128)
-    if data.ndim != 2 or data.shape[1] != config.window_len:
-        raise InputError("spectrogram shape inconsistent with config")
-    return data, config
+    return _check_frames(np.asarray(spec, dtype=np.complex128), config,
+                         "spectrogram"), config
+
+
+def _check_frames(data: np.ndarray, config: StftConfig, what: str) -> np.ndarray:
+    """``data`` itself if it is M x N with M >= 1 and N = ``window_len``."""
+    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != config.window_len:
+        raise InputError(f"{what} must be 2-D with at least one frame of "
+                         f"{config.window_len} bins, got shape {data.shape}")
+    return data
 
 
 def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:

@@ -76,6 +76,13 @@ class TestWriteWav:
         with pytest.raises(sc.InputError):
             write_wav(np.zeros(0), WavMeta(8000, 1, "pcm16", 0), tmp_path / "z.wav")
 
+    def test_bare_array_needs_meta(self, tmp_path):
+        with pytest.raises(sc.InputError):
+            write_wav(np.zeros(8), None, tmp_path / "a.wav")
+        assert not (tmp_path / "a.wav").exists()
+        write_wav(sc.Signal(np.zeros(8), 8000), None, tmp_path / "s.wav")
+        assert read_wav(tmp_path / "s.wav")[1] == WavMeta(8000, 1, "float32", 8)
+
 
 class TestSynth:
     def test_sine_quarter_rate_cycle(self):
@@ -114,3 +121,12 @@ class TestSynth:
     def test_unknown_kind(self):
         with pytest.raises(sc.InputError):
             synth("square", {}, 8000, 0.1)
+
+    @pytest.mark.parametrize("kind,params,duration", [
+        ("sine", {}, 0.1), ("multisine", {"amps": [1.0]}, 0.1),
+        ("chirp", {"f0": 100.0}, 0.1), ("noise", {}, float("nan")),
+        ("noise", {}, float("inf")), ("noise", {}, float("-inf")),
+    ])
+    def test_missing_parameter_or_non_finite_duration(self, kind, params, duration):
+        with pytest.raises(sc.InputError):
+            synth(kind, params, 8000, duration)

@@ -12,6 +12,8 @@ from specconsist import cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, stft
 
+from test_solvers import reference_gla_inconsistency
+
 
 def make_wav(path, kind="sine", sr=8000, duration=0.25, **params):
     defaults = {"sine": {"freq": 440.0, "amp": 0.5}}
@@ -162,6 +164,20 @@ class TestReconstruct:
         expected = sc.consistency_measure(mag * np.exp(1j * phase), config)
         assert report["results"]["eval"]["consistency_measure"] == pytest.approx(
             expected, rel=1e-12, abs=0)
+
+    def test_gla_report_final_loss_scores_the_returned_phase(self, tmp_path):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, "chirp", duration=0.5, f0=200.0, f1=1500.0)
+        out = tmp_path / "run"
+        assert cli.main(["reconstruct", str(wav), "--solver", "gla", "--iters", "30",
+                         "--out", str(out)] + STFT_FLAGS) == 0
+        report = json.loads((out / "report.json").read_text())
+        cfg = report["config"]
+        config = sc.make_config(**cfg["stft"])
+        mag = stft(sc.read_wav(wav)[0], config).magnitude
+        phase, _ = solvers.griffin_lim(mag, cli._solver_options(cfg), config)
+        assert report["results"]["final_loss"] == pytest.approx(
+            reference_gla_inconsistency(mag, phase, config), rel=1e-12, abs=0)
 
     def test_gd_ec_improves_consistency(self, tmp_path):
         wav = tmp_path / "in.wav"
@@ -377,6 +393,18 @@ class TestSynthCommand:
                          "--duration", "0.01", "--out", str(out)]) == 0
         signal, _ = sc.read_wav(out)
         assert signal.samples[5] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["sine"], ["multisine"], ["chirp"], ["chirp", "--f1", "900"],
+        ["noise", "--duration", "nan"], ["noise", "--duration", "inf"],
+        ["sine", "--freq", "440", "--duration=-inf"],
+        ["noise", "--seed=-1"], ["noise", "--amp", "inf"], ["noise", "--amp", "nan"],
+    ])
+    def test_bad_parameters_are_input_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.wav"
+        assert cli.main(["synth", *argv, "--sr", "8000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 # Drawn JSON values: every known config key gets either a plausible value or

@@ -80,6 +80,14 @@ class TestGriffinLim:
         _, trace = griffin_lim(spec.magnitude, opts, cfg_256_64)
         assert len(trace.records) < 50
 
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-3])
+    def test_final_loss_scores_returned_phase(self, cfg_256_64, rng, tolerance):
+        mag = stft(rng.standard_normal(1500), cfg_256_64).magnitude
+        opts = SolverOptions(max_iters=20, seed=4, tolerance=tolerance)
+        phase, trace = griffin_lim(mag, opts, cfg_256_64)
+        assert trace.final_loss == reference_gla_inconsistency(mag, phase, cfg_256_64)
+        assert trace.final_loss <= trace.records[-1].loss
+
 
 class TestGdReconstruct:
     def test_pinned_two_sine_regression(self, cfg_256_64):
@@ -151,6 +159,15 @@ class TestGdReconstruct:
             from specconsist.solvers import _loss_and_grad
             final, _ = _loss_and_grad(loss, mag, phase, target, cfg_64_16)
         assert final <= trace.records[0].loss * (1 + 1e-12)
+
+    @pytest.mark.parametrize("loss", ["ec", "cos", "time_l2"])
+    def test_final_loss_is_best_record(self, cfg_64_16, rng, loss):
+        mag = rng.uniform(0, 1, (8, 64))
+        target = None if loss == "ec" else rng.uniform(-np.pi, np.pi, (8, 64))
+        opts = SolverOptions(max_iters=30, step_rule="fixed", initial_step=0.5,
+                             final_step=0.5, seed=3)
+        _, trace = gd_reconstruct(mag, loss, target, opts, cfg_64_16)
+        assert trace.final_loss == trace.records[trace.best_iteration].loss
 
     def test_deterministic_traces(self, cfg_64_16, rng):
         mag = rng.uniform(0, 1, (8, 64))

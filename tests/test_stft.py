@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from specconsist import (ConfigError, DegenerateWindowError, InputError,
                          Signal, Spectrogram, compress_magnitude,
-                         expand_half_spectrum, istft, make_config, num_frames,
-                         overlap_add, stft)
+                         expand_half_spectrum, grad_loss_ec_phase, istft,
+                         loss_ec, loss_ec_phase, loss_time, make_config,
+                         num_frames, overlap_add, project, residual, stft)
 from specconsist.stft import shifted_square_sum
 
 
@@ -241,3 +244,45 @@ class TestSpectrogramInvariants:
     def test_rejects_empty_frame_axis(self, cfg_rect_4):
         with pytest.raises(InputError):
             Spectrogram(np.zeros((0, 4), dtype=complex), cfg_rect_4)
+
+    @pytest.mark.parametrize("operator", [
+        residual, loss_ec, project,
+        lambda h, cfg: loss_ec_phase(np.abs(h), np.angle(h), cfg),
+        lambda h, cfg: grad_loss_ec_phase(np.abs(h), np.angle(h), cfg),
+    ], ids=["residual", "loss_ec", "project", "loss_ec_phase", "grad_loss_ec_phase"])
+    @pytest.mark.parametrize("config_args", [(4, 4, "rectangular"), (64, 16, "hann")],
+                             ids=["rect4", "hann64"])
+    def test_operators_reject_empty_frame_axis(self, operator, config_args):
+        config = make_config(*config_args)
+        with pytest.raises(InputError):
+            operator(np.zeros((0, config.window_len), dtype=complex), config)
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 4)])
+    def test_time_loss_rejects_non_frame_phase(self, cfg_rect_4, shape):
+        p = np.zeros(shape)
+        with pytest.raises(InputError):
+            loss_time(p, p, np.ones(shape), cfg_rect_4)
+
+
+class TestStftConfigIdentity:
+    def test_identity_ignores_window_arrays(self):
+        a = make_config(64, 16, "hann")
+        b = dataclasses.replace(a, analysis_window=np.zeros(64),
+                                synthesis_window=np.ones(64))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+
+    def test_distinct_parameters_and_non_configs_differ(self):
+        a = make_config(64, 16, "hann")
+        assert a != make_config(64, 32, "hann")
+        assert a != make_config(64, 16, "rectangular")
+        assert a != (64, 16, "hann")
+        assert a != "hann"
+
+    def test_spectrogram_under_another_config_rejected(self, rng):
+        a, b = make_config(64, 16, "hann"), make_config(64, 32, "hann")
+        spec = stft(rng.standard_normal(200), a)
+        np.testing.assert_array_equal(overlap_add(spec, make_config(64, 16, "hann")),
+                                      overlap_add(spec))
+        with pytest.raises(InputError):
+            overlap_add(spec, b)
