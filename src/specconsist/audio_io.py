@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
@@ -63,7 +64,8 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     """Write a mono signal; returns the number of samples clipped (pcm16 only).
 
     pcm16 clips to [-1, 1] before quantizing by 32768; float32 is written
-    verbatim. A zero-length signal is rejected.
+    verbatim. A zero-length signal is rejected. The parent directory is
+    created once every check has passed.
     """
     if meta is None and not isinstance(signal, Signal):
         raise InputError("a bare sample array needs a WavMeta for its sample rate")
@@ -73,17 +75,20 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     if not np.all(np.isfinite(x)):
         raise InputError("samples must be finite")
     rate = meta.sample_rate if meta is not None else signal.sample_rate
+    if not 0 < rate < 2**30:  # the header stores rate * bytes per frame in 32 bits
+        raise InputError(f"sample rate {rate} does not fit a WAV header")
     encoding = meta.encoding if meta is not None else "float32"
+    if encoding not in ENCODINGS:
+        raise AudioFormatError(f"unsupported encoding {encoding!r}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     if encoding == "pcm16":
         clipped = np.clip(x, -1.0, 1.0)
         n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
         ints = np.clip(np.round(clipped * _PCM16_SCALE), -32768, 32767)
         wavfile.write(path, rate, ints.astype(np.int16))
         return n_clipped
-    if encoding == "float32":
-        wavfile.write(path, rate, x.astype(np.float32))
-        return 0
-    raise AudioFormatError(f"unsupported encoding {encoding!r}")
+    wavfile.write(path, rate, x.astype(np.float32))
+    return 0
 
 
 def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
-from .stft import WINDOW_KINDS, expand_half_spectrum, make_config, stft
+from .stft import (WINDOW_KINDS, _check_frames, expand_half_spectrum, make_config,
+                   signal_length, stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -198,15 +199,10 @@ def _load_reconstruct_input(args, config):
     path = Path(args.input)
     if path.suffix.lower() == ".npy":
         arr = _load_npy(path)
-        if arr.ndim != 2:
-            raise InputError("matrix input must be 2-D (frames x bins)")
-        if arr.shape[1] == config.window_len // 2 + 1:
+        if arr.ndim == 2 and arr.shape[1] == config.window_len // 2 + 1:
             arr = expand_half_spectrum(arr)
-        if arr.shape[1] != config.window_len:
-            raise InputError(
-                f"matrix has {arr.shape[1]} bins; config expects "
-                f"{config.window_len} (or {config.window_len // 2 + 1} half-band)")
-        return np.asarray(arr, dtype=np.float64), None, None, args.sr
+        mag = _check_frames(np.asarray(arr, dtype=np.float64), config, "magnitude")
+        return mag, None, None, args.sr
     signal, meta = audio_io.read_wav(path, downmix=args.downmix)
     spec = stft(signal, config)
     return spec.magnitude, spec.phase, signal, meta.sample_rate
@@ -232,13 +228,13 @@ def cmd_reconstruct(args) -> int:
         reference, _ = audio_io.read_wav(args.reference, downmix=args.downmix)
 
     init_phase = None
+    if (cfg["solver"]["init"] == "provided") != (args.init_phase is not None):
+        raise InputError("--init-phase goes with --init provided, and only with it")
     if cfg["solver"]["init"] == "noisy_phase":
         if noisy_phase is None:
             raise InputError("noisy-phase init requires WAV input")
         init_phase = noisy_phase
-    elif cfg["solver"]["init"] == "provided":
-        if args.init_phase is None:
-            raise InputError("provided init requires --init-phase")
+    elif args.init_phase is not None:
         init_phase = _load_npy(args.init_phase)
 
     target_phase = None
@@ -249,7 +245,8 @@ def cmd_reconstruct(args) -> int:
 
     opts = _solver_options(cfg, init_phase=init_phase)
     out_dir = Path(args.out) if args.out else Path(cfg["io"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    span = signal_length(len(mag), config)  # no signal has fewer than Q frames
+    length = len(reference) if reference is not None else span
 
     solver_kind = cfg["solver"]["kind"]
     try:
@@ -261,11 +258,8 @@ def cmd_reconstruct(args) -> int:
     except DivergenceError as exc:
         if exc.trace is not None:
             _write_trace(out_dir / "trace.csv", exc.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        raise
 
-    n, r = config.window_len, config.hop
-    length = len(reference) if reference is not None else mag.shape[0] * r - n + r
     recon = solvers.reconstruct_signal(mag, phase, config, length=length,
                                        sample_rate=sample_rate)
 
@@ -327,18 +321,16 @@ def cmd_compare(args) -> int:
                          f"{sorted(LOSS_FLAGS)}") from None
     corpus = sorted(Path(args.corpus).glob("*.wav"))
     out_path = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "results.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     header = ["file", "loss", "final_loss", "consistency_measure",
               "aligned_snr_db", "spectral_convergence_db"]
-    threads = max(1, int(os.environ.get("SPECCONSIST_THREADS", "1")))
-    if corpus:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_file = list(pool.map(
-                lambda p: _compare_one(p, loss_names, cfg, config), corpus))
-    else:
-        per_file = []
+    threads = max(1, _number(int, os.environ.get("SPECCONSIST_THREADS", "1"),
+                             "SPECCONSIST_THREADS"))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_file = list(pool.map(
+            lambda p: _compare_one(p, loss_names, cfg, config), corpus))
 
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -355,12 +347,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    names = ("freq", "freqs", "amps", "phases", "f0", "f1", "amp", "position", "seed")
-    params = {name: getattr(args, name) for name in names
+    params = {name: getattr(args, name) for name in SYNTH_FLAGS
               if getattr(args, name) is not None}
     signal = audio_io.synth(args.kind, params, args.sr, args.duration)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     audio_io.write_wav(signal, audio_io.WavMeta(args.sr, 1, args.encoding,
                                                 len(signal)), out)
     print(f"wrote {len(signal)} samples at {args.sr} Hz -> {out}")
@@ -373,6 +363,11 @@ def cmd_synth(args) -> int:
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
+
+
+# synth parameter flag -> argparse type; audio_io.SYNTH_KINDS says which a kind needs
+SYNTH_FLAGS = {"freq": float, "freqs": _floats, "amps": _floats, "phases": _floats,
+               "f0": float, "f1": float, "amp": float, "position": int, "seed": int}
 
 
 def _add_common(sub):
@@ -437,15 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=audio_io.SYNTH_KINDS)
     p.add_argument("--sr", type=int, default=16000)
     p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--freq", type=float)
-    p.add_argument("--freqs", type=_floats, help="comma-separated frequencies (multisine)")
-    p.add_argument("--amps", type=_floats, help="comma-separated amplitudes (multisine)")
-    p.add_argument("--phases", type=_floats, help="comma-separated phases (multisine)")
-    p.add_argument("--f0", type=float)
-    p.add_argument("--f1", type=float)
-    p.add_argument("--amp", type=float)
-    p.add_argument("--position", type=int)
-    p.add_argument("--seed", type=int)
+    for name, kind in SYNTH_FLAGS.items():
+        list_help = "comma-separated list (multisine)" if kind is _floats else None
+        p.add_argument(f"--{name}", type=kind, help=list_help)
     p.add_argument("--encoding", choices=audio_io.ENCODINGS, default="float32")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -458,12 +447,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except SpecConsistError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_DIVERGENCE if isinstance(exc, DivergenceError) else EXIT_INPUT
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,7 +15,8 @@ import numpy as np
 from . import phase_losses
 from .consistency import ec_loss_and_grad, loss_ec
 from .errors import DivergenceError, InputError
-from .stft import Signal, Spectrogram, StftConfig, _check_frames, istft, stft
+from .stft import (Signal, Spectrogram, StftConfig, _check_frames, istft,
+                   signal_length, stft)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -137,12 +138,7 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     """
     opts.validate()
     mag = _check_magnitude(mag, config)
-    m = mag.shape[0]
-    n, r = config.window_len, config.hop
-    if m < config.overlap_factor:
-        raise InputError(
-            f"need at least Q={config.overlap_factor} frames, got {m}")
-    sig_len = m * r - n + r
+    sig_len = signal_length(mag.shape[0], config)
     norm_sq = float(np.sum(mag ** 2))
     phase = _initial_phase(mag.shape, opts)
 

@@ -142,6 +142,14 @@ def num_frames(num_samples: int, config: StftConfig) -> int:
     return (num_samples + n - r - 1) // r + 1
 
 
+def signal_length(frames: int, config: StftConfig) -> int:
+    """Longest signal with ``frames`` STFT frames; the inverse of ``num_frames``."""
+    q = config.overlap_factor
+    if frames < q:
+        raise InputError(f"need at least Q={q} frames, got {frames}")
+    return (frames - q + 1) * config.hop
+
+
 def _pad_signal(x: np.ndarray, config: StftConfig) -> tuple[np.ndarray, int]:
     n, r = config.window_len, config.hop
     m = num_frames(x.size, config)

@@ -83,6 +83,25 @@ class TestWriteWav:
         write_wav(sc.Signal(np.zeros(8), 8000), None, tmp_path / "s.wav")
         assert read_wav(tmp_path / "s.wav")[1] == WavMeta(8000, 1, "float32", 8)
 
+    @pytest.mark.parametrize("rate", [0, -8000, 2**30, 2**31, 2**32])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_rate_outside_the_header_rejected(self, tmp_path, rate, encoding):
+        path = tmp_path / "new" / "r.wav"
+        with pytest.raises(sc.InputError):
+            write_wav(sc.Signal(np.zeros(8)), WavMeta(rate, 1, encoding, 8), path)
+        assert not path.parent.exists()
+
+    def test_unknown_encoding_creates_nothing(self, tmp_path):
+        path = tmp_path / "new" / "r.wav"
+        with pytest.raises(sc.AudioFormatError):
+            write_wav(sc.Signal(np.zeros(8)), WavMeta(8000, 1, "mp3", 8), path)
+        assert not path.parent.exists()
+
+    def test_creates_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "s.wav"
+        write_wav(sc.Signal(np.zeros(8), 8000), None, path)
+        assert read_wav(path)[1] == WavMeta(8000, 1, "float32", 8)
+
 
 class TestSynth:
     def test_sine_quarter_rate_cycle(self):

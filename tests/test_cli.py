@@ -1,14 +1,19 @@
 import csv
 import dataclasses
 import json
+import os
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist import cli, solvers
+from specconsist import audio_io, cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, stft
 
@@ -263,17 +268,64 @@ class TestReconstruct:
                         + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
 
-    @pytest.mark.parametrize("content", ["garbage", "strings", "no frames"])
-    def test_bad_magnitude_file_is_input_error(self, tmp_path, content):
+    @pytest.mark.parametrize("content", ["garbage", "strings", "no frames", "0-D", "3-D",
+                                         "100 bins"])
+    def test_bad_magnitude_file_is_input_error(self, tmp_path, capsys, content):
         mat = tmp_path / "mag.npy"
+        arrays = {"strings": np.full((6, 256), "a"), "no frames": np.ones((0, 256)),
+                  "0-D": np.array(1.0), "3-D": np.ones((2, 6, 256)),
+                  "100 bins": np.ones((6, 100))}
         if content == "garbage":
             mat.write_bytes(b"not a numpy file")
         else:
-            np.save(mat, np.full((6, 256), "a") if content == "strings"
-                    else np.ones((0, 256)))
+            np.save(mat, arrays[content])
+        out = tmp_path / "run"
         code = cli.main(["reconstruct", str(mat), "--iters", "2",
-                         "--out", str(tmp_path / "run")] + STFT_FLAGS)
+                         "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        if content == "100 bins":  # shape errors come from stft's own check
+            assert ("magnitude must be 2-D with at least one frame of 256 bins, "
+                    "got shape (6, 100)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    @pytest.mark.parametrize("frames", [2, 3])
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_fewer_than_q_frames_is_input_error(self, tmp_path, capsys, solver, frames,
+                                                reference):
+        # Hann 256/64 has Q = 4: every signal's STFT has at least 4 frames.
+        np.save(tmp_path / "mag.npy", np.ones((frames, 256)))
+        flags = ["--reference", str(tmp_path / "ref.wav")] if reference else []
+        if reference:
+            make_wav(tmp_path / "ref.wav", duration=0.01)
+        out = tmp_path / "run"
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", solver,
+                         *flags, "--iters", "2", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert f"need at least Q=4 frames, got {frames}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("init, phase", [([], True), (["--init", "zeros"], True),
+                                             (["--init", "random"], True),
+                                             (["--init", "provided"], False)])
+    def test_init_phase_goes_with_provided_init(self, tmp_path, capsys, init, phase):
+        np.save(tmp_path / "mag.npy", np.ones((6, 256)))
+        np.save(tmp_path / "p.npy", np.zeros((6, 256)))
+        flags = ["--init-phase", str(tmp_path / "p.npy")] if phase else []
+        out = tmp_path / "run"
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), *init, *flags,
+                         "--iters", "2", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert "--init provided" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_rate_beyond_the_wav_header_is_input_error(self, tmp_path):
+        np.save(tmp_path / "mag.npy", np.ones((6, 256)))
+        out = tmp_path / "run"
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--iters", "2",
+                         "--sr", str(2**31), "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--step", "nan"]])
     def test_bad_solver_flags_are_input_errors(self, tmp_path, flags):
@@ -297,7 +349,7 @@ class TestReconstruct:
                              "--step-rule", "fixed", "--iters", "5",
                              "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
-        assert (out / "trace.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
 
 class TestCompare:
@@ -349,13 +401,25 @@ class TestCompare:
                                                 capsys, threads):
         corpus = self._make_corpus(tmp_path)
         (corpus / "b0.wav").write_bytes(b"RIFFgarbage")
-        out = tmp_path / "r.csv"
+        out = tmp_path / "outdir" / "r.csv"
         monkeypatch.setenv("SPECCONSIST_THREADS", threads)
         code = cli.main(["compare", str(corpus), "--losses", "ec", "--iters", "2",
                          "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
         assert "b0.wav" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("threads", ["x", "2.5", ""])
+    def test_malformed_thread_count_is_input_error(self, tmp_path, monkeypatch,
+                                                   capsys, threads):
+        corpus = self._make_corpus(tmp_path)
+        out = tmp_path / "outdir" / "r.csv"
+        monkeypatch.setenv("SPECCONSIST_THREADS", threads)
+        code = cli.main(["compare", str(corpus), "--losses", "ec", "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert "SPECCONSIST_THREADS" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         corpus = self._make_corpus(tmp_path)
@@ -457,3 +521,140 @@ class TestConfigProperty:
         code = cli.main(["analyze", str(wav), "--config", str(cfg_file),
                          "--out", str(tmp_path / "r.json")])
         assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+
+# Drawn argv for reconstruct and compare. Each flag is absent, valid, or (one
+# time in four) a value the CLI must reject; 64/16 and 0.05 s keep runs small.
+_SMALL_STFT = ["--window-len", "64", "--hop", "16"]
+_FLAG_VALUES = {  # flag -> (accepted values, rejected values)
+    "--solver": (cli.SOLVER_KINDS, ["lbfgs"]),
+    "--iters": (["1", "3"], ["0", "-2", "x"]),
+    "--step": (["1e-3", "0.5", "inf"], ["0", "-1", "nan", "x"]),
+    "--radius": (["0", "16"], ["-1", "1.5"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--sr": (["8000"], ["0", "-8000", str(2**31), "x"]),
+}
+_BAD_PHASES = ["mis-shaped", "nan", "garbage"]
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` three times in four, else from ``invalid``."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: valid if ok else invalid)
+
+
+def _draw_flags(draw, flags) -> list[str]:
+    argv = []
+    for flag in flags:
+        accepted, rejected = _FLAG_VALUES[flag]
+        # --iters is always given: the default 100 iterations would be slow
+        if flag == "--iters" or draw(st.booleans()):
+            argv += [flag, draw(_mostly(st.sampled_from(accepted),
+                                        st.sampled_from(rejected)))]
+    return argv
+
+
+def _write_phase(path, kind, shape):
+    if kind == "garbage":
+        path.write_bytes(b"not a numpy file")
+    else:
+        np.save(path, np.full(shape if kind != "mis-shaped" else (shape[0] + 1, 7),
+                              np.nan if kind == "nan" else 0.0))
+
+
+def _exit_code(argv, diverges: bool) -> int:
+    """What the console script exits with: argparse usage errors raise SystemExit(2).
+
+    A run with an infinite step diverges, and numpy warns about the non-finite
+    values on the way (in compare's worker threads too) before the solver
+    reports the divergence (exit 3); for such runs those warnings are ignored
+    rather than raised.
+    """
+    with warnings.catch_warnings():
+        if diverges:
+            warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestCommandProperty:
+    """Any argv and input: an exit code in 0..4, no escaping exception, and
+    nothing written under --out when the exit code is 2."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reconstruct_exit_code_contract(self, data):
+        draw = data.draw
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if draw(st.booleans()):
+                source = tmp / "in.wav"
+                signal = make_wav(source, duration=0.05)
+                frames = sc.num_frames(len(signal), sc.make_config(64, 16))
+            else:
+                shape = draw(_mostly(
+                    st.tuples(st.integers(4, 6), st.sampled_from([64, 33])),
+                    st.sampled_from([(), (6,), (0, 64), (2, 64), (3, 33), (5, 10),
+                                     (2, 5, 64)])))
+                source = tmp / "mag.npy"
+                np.save(source, np.random.default_rng(0).random(shape))
+                frames = shape[0] if shape else 1
+            argv = ["reconstruct", str(source), *_SMALL_STFT,
+                    *_draw_flags(draw, _FLAG_VALUES)]
+
+            loss = draw(st.sampled_from(["ec", *cli.LOSS_FLAGS]))
+            init = draw(_mostly(st.sampled_from(sorted(cli.INIT_FLAGS)), st.just("ones")))
+            argv += ["--loss", loss, "--init", init]
+            phases = {
+                "--target-phase": _mostly(st.just("valid"), st.sampled_from(_BAD_PHASES))
+                if loss != "ec" else _mostly(st.none(), st.just("valid")),
+                "--init-phase": _mostly(st.just("valid"), st.sampled_from(_BAD_PHASES))
+                if init == "provided" else _mostly(st.none(), st.just("valid")),
+            }
+            for flag, strategy in phases.items():
+                kind = draw(strategy)
+                if kind is not None:
+                    _write_phase(tmp / f"{flag[2:]}.npy", kind, (frames, 64))
+                    argv += [flag, str(tmp / f"{flag[2:]}.npy")]
+
+            out = tmp / "run"
+            code = _exit_code(argv + ["--out", str(out)], diverges="inf" in argv)
+            event(f"exit {code}")
+            assert code in range(5)
+            if code == cli.EXIT_INPUT:
+                assert not out.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_compare_exit_code_contract(self, data):
+        draw = data.draw
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            corpus = tmp / "corpus"
+            corpus.mkdir()
+            for i in range(draw(st.integers(0, 2))):
+                kind = draw(st.sampled_from(["sine", "noise"]))
+                signal = sc.synth(kind, {"freq": 440.0, "amp": 0.5}, 8000,
+                                  draw(st.sampled_from([0.05, 0.02, 0.001])))
+                encoding = draw(st.sampled_from(audio_io.ENCODINGS))
+                write_wav(signal, WavMeta(8000, 1, encoding, len(signal)),
+                          corpus / f"{i}.wav")
+            unreadable = draw(_mostly(st.none(), st.sampled_from([b"RIFFgarbage", b""])))
+            if unreadable is not None:
+                (corpus / "bad.wav").write_bytes(unreadable)
+            losses = draw(_mostly(
+                st.lists(st.sampled_from(sorted(cli.LOSS_FLAGS)), min_size=1, max_size=3),
+                st.just(["l9"])))
+            argv = ["compare", str(corpus), *_SMALL_STFT, "--losses", ",".join(losses),
+                    *_draw_flags(draw, ["--iters", "--step", "--radius", "--seed"])]
+
+            out = tmp / "outdir" / "r.csv"
+            threads = draw(st.sampled_from(["1", "2"]))
+            with mock.patch.dict(os.environ, {"SPECCONSIST_THREADS": threads}):
+                code = _exit_code(argv + ["--out", str(out)], diverges="inf" in argv)
+            event(f"exit {code}")
+            assert code in range(5)
+            if code == cli.EXIT_INPUT:
+                assert not out.parent.exists()

@@ -8,7 +8,7 @@ from specconsist import (ConfigError, DegenerateWindowError, InputError,
                          expand_half_spectrum, grad_loss_ec_phase, istft,
                          loss_ec, loss_ec_phase, loss_time, make_config,
                          num_frames, overlap_add, project, residual, stft)
-from specconsist.stft import shifted_square_sum
+from specconsist.stft import shifted_square_sum, signal_length
 
 
 def naive_stft(x, config):
@@ -128,6 +128,22 @@ class TestStft:
         direct = stft(x, cfg_64_16).data
         wrapped = stft(Signal(x, sample_rate=8000), cfg_64_16).data
         np.testing.assert_array_equal(direct, wrapped)
+
+
+class TestSignalLength:
+    @pytest.mark.parametrize("cfg", ["cfg_512_128", "cfg_64_16", "cfg_rect_4"])
+    def test_longest_signal_with_m_frames(self, cfg, request):
+        config = request.getfixturevalue(cfg)
+        q = config.overlap_factor
+        for m in range(q, q + 20):
+            length = signal_length(m, config)
+            assert num_frames(length, config) == m
+            assert num_frames(length + 1, config) == m + 1
+
+    @pytest.mark.parametrize("frames", [-1, 0, 1, 3])
+    def test_fewer_than_q_frames_rejected(self, cfg_512_128, frames):
+        with pytest.raises(InputError, match="need at least Q=4 frames"):
+            signal_length(frames, cfg_512_128)
 
 
 class TestIstft:
