@@ -74,9 +74,8 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
         raise InputError("refusing to write a zero-length WAV file")
     if not np.all(np.isfinite(x)):
         raise InputError("samples must be finite")
-    rate = meta.sample_rate if meta is not None else signal.sample_rate
-    if not 0 < rate < 2**30:  # the header stores rate * bytes per frame in 32 bits
-        raise InputError(f"sample rate {rate} does not fit a WAV header")
+    rate = _check_sample_rate(meta.sample_rate if meta is not None
+                              else signal.sample_rate)
     encoding = meta.encoding if meta is not None else "float32"
     if encoding not in ENCODINGS:
         raise AudioFormatError(f"unsupported encoding {encoding!r}")
@@ -89,6 +88,13 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
         return n_clipped
     wavfile.write(path, rate, x.astype(np.float32))
     return 0
+
+
+def _check_sample_rate(rate: int) -> int:
+    """``rate`` if a WAV header can hold it."""
+    if not 0 < rate < 2**30:  # the header stores rate * bytes per frame in 32 bits
+        raise InputError(f"sample rate {rate} does not fit a WAV header")
+    return rate
 
 
 def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
-from .stft import (WINDOW_KINDS, _check_frames, expand_half_spectrum, make_config,
-                   signal_length, stft)
+from .stft import (WINDOW_KINDS, _check_frames, _check_length, expand_half_spectrum,
+                   make_config, signal_length, stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -223,6 +223,7 @@ def cmd_reconstruct(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
     config = make_config(**cfg["stft"])
     mag, noisy_phase, reference, sample_rate = _load_reconstruct_input(args, config)
+    audio_io._check_sample_rate(sample_rate)
 
     if args.reference is not None:
         reference, _ = audio_io.read_wav(args.reference, downmix=args.downmix)
@@ -246,7 +247,8 @@ def cmd_reconstruct(args) -> int:
     opts = _solver_options(cfg, init_phase=init_phase)
     out_dir = Path(args.out) if args.out else Path(cfg["io"]["output_dir"])
     span = signal_length(len(mag), config)  # no signal has fewer than Q frames
-    length = len(reference) if reference is not None else span
+    length = span if reference is None else _check_length(len(reference), len(mag),
+                                                          config)
 
     solver_kind = cfg["solver"]["kind"]
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase_losses
-from .consistency import ec_loss_and_grad, loss_ec
+from .consistency import _Workspace, ec_loss_and_grad, loss_ec
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _check_frames, istft,
                    signal_length, stft)
@@ -174,7 +174,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     The consistency loss ``ec`` forbids a target phase (it measures only
     magnitude-phase consistency); every other loss requires one. Returns the
     lowest-loss iterate. A non-finite loss raises DivergenceError carrying the
-    partial trace.
+    partial trace; numpy's overflow and invalid-value warnings never pre-empt it.
     """
     opts.validate()
     if loss not in LOSSES:
@@ -194,44 +194,47 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     if use_c1c2:
         c1, c2 = np.sin(phase), np.cos(phase)
 
+    workspace = _Workspace(mag.shape, config) if loss == "ec" else None
     trace = SolveTrace()
     best_loss = np.inf
     best_phase = phase.copy()
     prev = None
-    for k in range(opts.max_iters):
-        if use_c1c2:
-            phase = np.arctan2(c1, c2)
-        value, grad = _loss_and_grad(loss, mag, phase, target_phase, config)
-        ec = value if loss == "ec" else loss_ec(mag * np.exp(1j * phase), config)
-        measure = _normalized(ec, norm_sq)
-        step = _step_size(k, opts)
-        trace.records.append(TraceRecord(k, value, measure, step))
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"loss {loss!r} became non-finite at iteration {k}", trace=trace)
-        if value < best_loss:
-            best_loss = value
-            best_phase = phase.copy()
-            trace.best_iteration = k
-        if use_c1c2:
-            r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
-            g1 = grad * c2 / r_sq
-            g2 = -grad * c1 / r_sq
-            c1 = c1 - step * g1
-            c2 = c2 - step * g2
-        else:
-            phase = phase - step * grad
-        if prev is not None and opts.tolerance > 0 and (prev - value) < opts.tolerance:
-            break
-        prev = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(opts.max_iters):
+            if use_c1c2:
+                phase = np.arctan2(c1, c2)
+            value, grad = _loss_and_grad(loss, mag, phase, target_phase, config,
+                                         workspace)
+            ec = value if loss == "ec" else loss_ec(mag * np.exp(1j * phase), config)
+            measure = _normalized(ec, norm_sq)
+            step = _step_size(k, opts)
+            trace.records.append(TraceRecord(k, value, measure, step))
+            if not np.isfinite(value):
+                raise DivergenceError(
+                    f"loss {loss!r} became non-finite at iteration {k}", trace=trace)
+            if value < best_loss:
+                best_loss = value
+                best_phase = phase.copy()
+                trace.best_iteration = k
+            if use_c1c2:
+                r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
+                g1 = grad * c2 / r_sq
+                g2 = -grad * c1 / r_sq
+                c1 = c1 - step * g1
+                c2 = c2 - step * g2
+            else:
+                phase = phase - step * grad
+            if prev is not None and opts.tolerance > 0 and (prev - value) < opts.tolerance:
+                break
+            prev = value
 
     trace.final_loss = best_loss
     return best_phase, trace
 
 
-def _loss_and_grad(name, mag, phase, target, config):
+def _loss_and_grad(name, mag, phase, target, config, workspace=None):
     if name == "ec":
-        return ec_loss_and_grad(mag, phase, config)
+        return ec_loss_and_grad(mag, phase, config, workspace)
     return phase_losses.LOSSES[name][0](target, phase, mag, config)
 
 

@@ -162,11 +162,15 @@ def _pad_signal(x: np.ndarray, config: StftConfig) -> tuple[np.ndarray, int]:
 
 def _analyze_frames(x_padded: np.ndarray, config: StftConfig, m: int,
                     window: np.ndarray | None = None) -> np.ndarray:
-    n, r = config.window_len, config.hop
     if window is None:
         window = config.analysis_window
-    frames = np.lib.stride_tricks.sliding_window_view(x_padded, n)[::r][:m]
-    return np.fft.fft(frames * window, axis=1)
+    return np.fft.fft(_frames(x_padded, config, m) * window, axis=1)
+
+
+def _frames(x_padded: np.ndarray, config: StftConfig, m: int) -> np.ndarray:
+    """The first ``m`` frames of ``x_padded`` (N samples, R apart) as a view."""
+    frames = np.lib.stride_tricks.sliding_window_view(x_padded, config.window_len)
+    return frames[:: config.hop][:m]
 
 
 def stft(signal, config: StftConfig) -> Spectrogram:
@@ -217,15 +221,21 @@ def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:
 
 def _overlap_add(data: np.ndarray, config: StftConfig,
                  window: np.ndarray) -> np.ndarray:
-    n, r, q = config.window_len, config.hop, config.overlap_factor
-    m = data.shape[0]
-    frames = (np.fft.ifft(data, axis=1) * n * window).reshape(m, q, r)
-    y = np.zeros((m + q - 1, r), dtype=np.complex128)
+    frames = np.fft.ifft(data, axis=1) * config.window_len * window
+    m, q = data.shape[0], config.overlap_factor
+    return _add_blocks(frames, config, np.empty((m + q - 1, config.hop), complex))
+
+
+def _add_blocks(frames: np.ndarray, config: StftConfig, out: np.ndarray) -> np.ndarray:
+    """Overlap-add M x N time-domain ``frames`` into ``out`` ((M+Q-1) x R), flat."""
+    (m, _), q = frames.shape, config.overlap_factor
+    blocks = frames.reshape(m, q, config.hop)
+    out.fill(0)
     # Block j of frame i lands on output block i + j. Descending j adds the
     # frames covering each output block in ascending frame order.
     for j in reversed(range(q)):
-        y[j : j + m] += frames[:, j]
-    return y.ravel()
+        out[j : j + m] += blocks[:, j]
+    return out.ravel()
 
 
 def istft(spec, config: StftConfig | None = None, length: int | None = None,
@@ -239,12 +249,16 @@ def istft(spec, config: StftConfig | None = None, length: int | None = None,
     """
     data, config = _coerce_spec(spec, config)
     m = data.shape[0]
-    full = m * config.hop
-    if length is None:
-        length = full
-    if length < 0 or length > full:
-        raise InputError(f"length must be in [0, {full}] for {m} frames")
+    length = m * config.hop if length is None else _check_length(length, m, config)
     return Signal(_synthesize(data, config, length), sample_rate=sample_rate)
+
+
+def _check_length(length: int, frames: int, config: StftConfig) -> int:
+    """``length`` if ``istft`` can return that many samples from ``frames`` frames."""
+    full = frames * config.hop
+    if length < 0 or length > full:
+        raise InputError(f"length must be in [0, {full}] for {frames} frames")
+    return length
 
 
 def _synthesize(data: np.ndarray, config: StftConfig, length: int) -> np.ndarray:

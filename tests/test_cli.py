@@ -3,7 +3,6 @@ import dataclasses
 import json
 import os
 import tempfile
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -342,14 +341,47 @@ class TestReconstruct:
         phase_file = tmp_path / "p.npy"
         np.save(phase_file, stft(signal, config).phase)
         out = tmp_path / "run"
-        with np.errstate(invalid="ignore"):
-            code = cli.main(["reconstruct", str(wav), "--loss", "cos",
-                             "--target-phase", str(phase_file),
-                             "--init", "noisy", "--step", "inf",
-                             "--step-rule", "fixed", "--iters", "5",
-                             "--out", str(out)] + STFT_FLAGS)
+        code = cli.main(["reconstruct", str(wav), "--loss", "cos",
+                         "--target-phase", str(phase_file),
+                         "--init", "noisy", "--step", "inf",
+                         "--step-rule", "fixed", "--iters", "5",
+                         "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+    def test_diverging_ec_run_is_exit_3_with_warnings_as_errors(self, tmp_path):
+        # Tier-1 turns every warning into an error, as python -W error does.
+        wav = tmp_path / "in.wav"
+        make_wav(wav)
+        out = tmp_path / "run"
+        code = cli.main(["reconstruct", str(wav), "--loss", "ec", "--step", "inf",
+                         "--step-rule", "fixed", "--iters", "5",
+                         "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_DIVERGENCE
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    @pytest.mark.parametrize("case", ["sr 0", "sr 2**31", "long reference"])
+    def test_output_checks_run_before_the_solver(self, tmp_path, monkeypatch, capsys,
+                                                 solver, case):
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(solvers, "gd_reconstruct", never)
+        monkeypatch.setattr(solvers, "griffin_lim", never)
+        # 6 frames of Hann 256/64: istft returns at most 6 * 64 = 384 samples.
+        np.save(tmp_path / "mag.npy", np.ones((6, 256)))
+        flags = {"sr 0": ["--sr", "0"], "sr 2**31": ["--sr", str(2**31)],
+                 "long reference": ["--reference", str(tmp_path / "ref.wav")]}[case]
+        make_wav(tmp_path / "ref.wav", duration=385 / 8000)
+        out = tmp_path / "run"
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", solver,
+                         *flags, "--iters", "3000", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert ("length must be in [0, 384] for 6 frames" in err
+                if case == "long reference" else "does not fit a WAV header" in err)
+        assert not out.exists()
 
 
 class TestCompare:
@@ -419,6 +451,17 @@ class TestCompare:
                          "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
         assert "SPECCONSIST_THREADS" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_diverging_run_in_worker_threads_is_exit_3(self, tmp_path, monkeypatch):
+        # The solver silences numpy's warnings itself, so they never become
+        # errors in compare's worker threads either.
+        corpus = self._make_corpus(tmp_path)
+        out = tmp_path / "outdir" / "r.csv"
+        monkeypatch.setenv("SPECCONSIST_THREADS", "2")
+        code = cli.main(["compare", str(corpus), "--step", "inf", "--step-rule",
+                         "fixed", "--iters", "3", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_DIVERGENCE
         assert not out.parent.exists()
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
@@ -562,21 +605,12 @@ def _write_phase(path, kind, shape):
                               np.nan if kind == "nan" else 0.0))
 
 
-def _exit_code(argv, diverges: bool) -> int:
-    """What the console script exits with: argparse usage errors raise SystemExit(2).
-
-    A run with an infinite step diverges, and numpy warns about the non-finite
-    values on the way (in compare's worker threads too) before the solver
-    reports the divergence (exit 3); for such runs those warnings are ignored
-    rather than raised.
-    """
-    with warnings.catch_warnings():
-        if diverges:
-            warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            return cli.main(argv)
-        except SystemExit as exc:
-            return exc.code
+def _exit_code(argv) -> int:
+    """What the console script exits with: argparse usage errors raise SystemExit(2)."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCommandProperty:
@@ -620,7 +654,7 @@ class TestCommandProperty:
                     argv += [flag, str(tmp / f"{flag[2:]}.npy")]
 
             out = tmp / "run"
-            code = _exit_code(argv + ["--out", str(out)], diverges="inf" in argv)
+            code = _exit_code(argv + ["--out", str(out)])
             event(f"exit {code}")
             assert code in range(5)
             if code == cli.EXIT_INPUT:
@@ -653,7 +687,7 @@ class TestCommandProperty:
             out = tmp / "outdir" / "r.csv"
             threads = draw(st.sampled_from(["1", "2"]))
             with mock.patch.dict(os.environ, {"SPECCONSIST_THREADS": threads}):
-                code = _exit_code(argv + ["--out", str(out)], diverges="inf" in argv)
+                code = _exit_code(argv + ["--out", str(out)])
             event(f"exit {code}")
             assert code in range(5)
             if code == cli.EXIT_INPUT:

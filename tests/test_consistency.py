@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist.consistency import _apply, ec_loss_and_grad, get_kernel
+from specconsist.consistency import _apply, _Workspace, ec_loss_and_grad, get_kernel
 from specconsist.stft import WINDOW_KINDS, project, stft
 
 from conftest import random_spectrogram
@@ -285,6 +285,76 @@ class TestAdjointAndGradient:
         g1 = sc.grad_loss_ec_phase(mag, phase, k)
         g2 = sc.grad_loss_ec_phase(mag, phase + 2 * np.pi, k)
         assert np.abs(g1 - g2).max() < 1e-10 * max(np.abs(g1).max(), 1.0)
+
+
+def apply_oracle_loss_and_grad(mag, phase, cfg):
+    """||C H||^2 and Im(conj(H) * 2 C^H C H), with ``_apply`` in both directions."""
+    w, s = cfg.analysis_window, cfg.synthesis_window
+    h = mag * np.exp(1j * phase)
+    r = _apply(h, cfg, w, s)
+    return np.vdot(r, r).real, np.imag(np.conj(h) * 2.0 * _apply(r, cfg, s, w))
+
+
+class TestTwoTransformLossAndGrad:
+    """The Parseval evaluation against the operator it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 12), shape=st.sampled_from([(64, 16, "hann"),
+                                                        (16, 4, "rectangular")]),
+           zero_rows=st.sets(st.integers(0, 11)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_apply_oracle(self, m, shape, zero_rows, seed):
+        # m < Q makes every frame an edge frame
+        cfg = sc.make_config(*shape)
+        rng = np.random.default_rng(seed)
+        mag = rng.uniform(0.0, 2.0, (m, cfg.window_len))
+        mag[[i for i in zero_rows if i < m]] = 0.0
+        phase = rng.uniform(-4.0, 4.0, mag.shape)
+        loss, grad = ec_loss_and_grad(mag, phase, cfg)
+        loss_ref, grad_ref = apply_oracle_loss_and_grad(mag, phase, cfg)
+        assert abs(loss - loss_ref) <= 1e-12 * loss_ref
+        # The gradient scales as ||H||^2, and vanishes where C only scales each
+        # frame (rectangular, m < Q), so it is compared at that scale.
+        assert np.linalg.norm(grad - grad_ref) <= 1e-12 * np.sum(mag ** 2)
+
+        # A reused workspace leaves nothing behind for the next phase.
+        workspace = _Workspace(mag.shape, cfg)
+        ec_loss_and_grad(mag, phase, cfg, workspace)
+        other = rng.uniform(-4.0, 4.0, mag.shape)
+        loss_fresh, grad_fresh = ec_loss_and_grad(mag, other, cfg)
+        loss_reused, grad_reused = ec_loss_and_grad(mag, other, cfg, workspace)
+        assert loss_reused == loss_fresh
+        np.testing.assert_array_equal(grad_reused, grad_fresh)
+
+        # Without a workspace every call returns its own gradient.
+        _, again = ec_loss_and_grad(mag, phase, cfg)
+        assert not np.shares_memory(grad, again)
+
+    def test_zero_magnitude_gives_zero_loss_and_gradient(self, cfg_64_16, rng):
+        loss, grad = ec_loss_and_grad(np.zeros((5, 64)),
+                                      rng.uniform(-np.pi, np.pi, (5, 64)), cfg_64_16)
+        assert loss == 0.0
+        assert not np.any(grad)
+
+    def test_two_transforms_per_frame(self, cfg_512_128, rng, monkeypatch):
+        points = [0]
+
+        def counting(transform):
+            def wrapper(x, *args, **kwargs):
+                out = transform(x, *args, **kwargs)
+                points[0] += out.size
+                return out
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+        m, n = 128, cfg_512_128.window_len
+        mag = rng.uniform(0, 1, (m, n))
+        phase = rng.uniform(-np.pi, np.pi, (m, n))
+        ec_loss_and_grad(mag, phase, cfg_512_128)
+        assert points[0] == 2 * m * n == 131072
+        points[0] = 0
+        sc.residual(mag * np.exp(1j * phase), cfg_512_128)
+        assert points[0] == 2 * m * n
 
 
 class TestIffCharacterization:

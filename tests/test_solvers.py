@@ -182,8 +182,7 @@ class TestGdReconstruct:
         opts = SolverOptions(max_iters=5, step_rule="fixed",
                              initial_step=np.inf, final_step=np.inf,
                              init="provided", init_phase=target.copy())
-        with pytest.raises(sc.DivergenceError) as excinfo, \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(sc.DivergenceError) as excinfo:
             gd_reconstruct(np.ones((6, 64)), "cos", target, opts, cfg_64_16)
         assert excinfo.value.trace is not None
         assert len(excinfo.value.trace.records) >= 2
@@ -196,8 +195,7 @@ class TestGdReconstruct:
         opts = SolverOptions(max_iters=5, step_rule="fixed",
                              initial_step=np.inf, final_step=np.inf,
                              init="provided", init_phase=target + 0.1)
-        with pytest.raises(sc.DivergenceError) as excinfo, \
-                np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(sc.DivergenceError) as excinfo:
             gd_reconstruct(np.ones((6, 64)), loss, target, opts, cfg_64_16)
         assert len(excinfo.value.trace.records) >= 2
 
