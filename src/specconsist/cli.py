@@ -92,9 +92,7 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
         raise InputError(f"unknown loss {resolved['loss']!r}")
     if resolved["solver"]["kind"] not in SOLVER_KINDS:
         raise InputError(f"solver kind must be one of {SOLVER_KINDS}")
-    radius = resolved["metrics"]["search_radius"]
-    if type(radius) is not int or radius < 0:
-        raise InputError("search radius must be a nonnegative integer")
+    metrics._check_search_radius(resolved["metrics"]["search_radius"])
     if not isinstance(resolved["io"]["output_dir"], str):
         raise InputError("io.output_dir must be a string")
     return resolved

@@ -75,34 +75,81 @@ def _shifted(est: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
+def _check_search_radius(radius) -> int:
+    """The alignment search radius as an int; the one check of it."""
+    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)) or radius < 0:
+        raise InputError("search radius must be a nonnegative integer")
+    return int(radius)
+
+
+def _samples(signal) -> np.ndarray:
+    """The float64 samples of a Signal or of a 1-D array."""
+    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise InputError("signals must be 1-D")
+    return x
+
+
+# Screening tolerance per sample, relative to ||ref||^2 + 2|c_s| + ||est||^2.
+# The energies, the correlation, the prefix sum and the directly summed error
+# each carry at most about n*eps of those energies; 16 leaves a margin of 3x.
+_SCREEN_EPS = 16 * np.finfo(np.float64).eps
+
+
 def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     """Best SNR over sign flips and integer shifts within the search radius.
 
     Covers the sign ambiguity of magnitude-only reconstruction and small time
     offsets; always at least the unaligned SNR because the identity alignment
-    is in the search set.
+    is in the search set. Ties go to the earliest candidate, shifts ascending
+    with sign +1 before -1.
+
+    Every candidate's squared error ||ref||^2 -+ 2<ref, est_s> + ||est_s||^2
+    is screened at once, from one correlation and a prefix sum of est^2, in
+    O(n * min(R, n)). That expansion cancels at high SNR, so only candidates
+    within its rounding bound of the best are scored by summing the error
+    directly, in search order. Shifts of n or more compare against an
+    all-zero estimate and score exactly 0 dB, so only the first of them,
+    (-R, +1), can win.
     """
-    ref = ref.samples if isinstance(ref, Signal) else np.asarray(ref, dtype=np.float64)
-    est = est.samples if isinstance(est, Signal) else np.asarray(est, dtype=np.float64)
+    radius = _check_search_radius(search_radius)
+    ref, est = _samples(ref), _samples(est)
     if ref.size != est.size:
         raise InputError("reference and estimate lengths differ")
-    if ref.size == 0:
+    n = ref.size
+    if n == 0:
         raise InputError("signals must be nonempty")
-    ref_energy = float(np.dot(ref, ref))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_energy, est_energy = float(np.dot(ref, ref)), float(np.dot(est, est))
+    # Every error below is at most 2 * (ref_energy + est_energy).
+    if not np.isfinite(4.0 * (ref_energy + est_energy)):
+        raise InputError("signals must be finite, with energies far below the float64 limit")
     if ref_energy == 0.0:
         raise MetricError("SNR undefined for a zero reference")
-    if search_radius < 0:
-        raise InputError("search radius must be nonnegative")
 
+    inner = min(radius, n - 1)
+    shifts = np.arange(-inner, inner + 1)
+    cross = np.correlate(np.pad(est, inner), ref, "valid")
+    prefix = np.concatenate(([0.0], np.cumsum(est * est)))
+    shifted_energy = prefix[np.minimum(n, n + shifts)] - prefix[np.maximum(0, shifts)]
+    screened = (ref_energy + shifted_energy)[:, None] + np.outer(cross, [-2.0, 2.0])
+    tol = (_SCREEN_EPS * max(n, 64)
+           * (ref_energy + 2.0 * np.abs(cross) + est_energy))[:, None]
+    near = np.flatnonzero(screened - tol <= np.min(screened + tol))
+
+    candidates = [(1, -radius)] if radius >= n else []
+    candidates += [((1, -1)[i % 2], i // 2 - inner) for i in near.tolist()]
     best = (-np.inf, Alignment(1, 0))
-    for shift in range(-search_radius, search_radius + 1):
-        cand = _shifted(est, shift)
-        for sign in (1, -1):
-            err = float(np.dot(ref - sign * cand, ref - sign * cand))
+    with np.errstate(divide="ignore"):  # ref_energy / err may underflow to 0
+        for sign, shift in candidates:
+            diff = ref - sign * _shifted(est, shift)
+            err = float(np.dot(diff, diff))
             snr = DB_CLAMP if err == 0.0 else float(
                 np.clip(10.0 * np.log10(ref_energy / err), -DB_CLAMP, DB_CLAMP))
             if snr > best[0]:
                 best = (snr, Alignment(sign, shift))
+    if best[0] == -DB_CLAMP:  # every candidate is clamped; the first one wins
+        return best[0], Alignment(1, -radius)
     return best
 
 

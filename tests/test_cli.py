@@ -61,6 +61,8 @@ class TestResolveConfig:
         {"stft": {"window_len": 256, "hop": 64, "bogus": 1}},
         {"stft": 5},
         {"metrics": {"search_radius": "5"}},
+        {"metrics": {"search_radius": 2.5}},
+        {"metrics": {"search_radius": True}},
         {"solver": {"max_iters": "abc"}},
         {"seed": None},
         {"io": {"output_dir": 3}},

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specconsist as sc
 from specconsist.consistency import get_kernel
@@ -68,6 +72,62 @@ class TestSpectralConvergence:
             sc.spectral_convergence(np.zeros((2, 2)), np.ones((2, 2)))
 
 
+def loop_aligned_snr(ref, est, search_radius):
+    """The exhaustive search: every sign and shift scored in order, first best kept."""
+    ref_energy = float(np.dot(ref, ref))
+    best = (-np.inf, sc.Alignment(1, 0))
+    for shift in range(-search_radius, search_radius + 1):
+        cand = np.zeros_like(est)
+        if 0 <= shift < est.size:
+            cand[: est.size - shift] = est[shift:]
+        elif -est.size < shift < 0:
+            cand[-shift:] = est[: est.size + shift]
+        for sign in (1, -1):
+            err = float(np.dot(ref - sign * cand, ref - sign * cand))
+            snr = 300.0 if err == 0.0 else float(
+                np.clip(10.0 * np.log10(ref_energy / err), -300.0, 300.0))
+            if snr > best[0]:
+                best = (snr, sc.Alignment(sign, shift))
+    return best
+
+
+ESTIMATE_KINDS = ("noisy_shift", "copy", "negation", "zeros", "tile", "level", "scaled")
+
+
+@st.composite
+def signal_pairs(draw):
+    """(ref, est, radius): lengths 1-300, radii 0 to 2n+2, seven kinds of estimate."""
+    n = draw(st.integers(1, 300))
+    radius = draw(st.integers(0, 2 * n + 2))
+    kind = draw(st.sampled_from(ESTIMATE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = rng.standard_normal(n)
+    if kind == "noisy_shift":
+        noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 0.1, 1.0, 10.0]))
+        est = (draw(st.sampled_from([1, -1])) * np.roll(ref, draw(st.integers(-n, n)))
+               + noise * rng.standard_normal(n))
+    elif kind == "copy":
+        est = ref.copy()
+    elif kind == "negation":
+        est = -ref
+    elif kind == "zeros":
+        est = np.zeros(n)
+    elif kind == "tile":
+        # periodic, so shifts by whole periods score (near-)exact ties
+        ref = np.resize(rng.standard_normal(draw(st.integers(1, 8))), n)
+        est = np.roll(ref, draw(st.integers(-n, n)))
+    elif kind == "level":
+        # constant signals: shifts -s and +s tie in exact arithmetic, and the
+        # best is often the outermost pair, whose expanded errors round apart
+        ref = np.full(n, rng.uniform(0.1, 3.0))
+        est = np.full(n, rng.uniform(-3.0, 3.0))
+    else:
+        # 2**66 pushes every candidate to the -300 dB clamp, 1 + 2**-52 to +300 dB
+        k = draw(st.integers(-20, 66))
+        est = ref * draw(st.sampled_from([2.0 ** k, 1.0 + 2.0 ** -min(abs(k), 52)]))
+    return ref, est, radius
+
+
 class TestAlignedSnr:
     def test_identical_signals(self, rng):
         x = rng.standard_normal(500)
@@ -104,9 +164,66 @@ class TestAlignedSnr:
         est = np.roll(ref, 3) + 0.1 * rng.standard_normal(400)
         assert sc.aligned_snr(ref, est, 1000) == sc.aligned_snr(ref, est, 399)
 
+    @settings(max_examples=200, deadline=None)
+    @given(signal_pairs())
+    def test_matches_the_loop_oracle(self, case):
+        ref, est, radius = case
+        assert sc.aligned_snr(ref, est, radius) == loop_aligned_snr(ref, est, radius)
+
+    @pytest.mark.parametrize("level", [2.0, -1.5])
+    def test_mirrored_ties_match_the_loop_oracle(self, level):
+        # Against a constant reference, shifts -10 and +10 tie in exact
+        # arithmetic; the expanded errors of the pair round apart, so the
+        # screen alone would pick the wrong one.
+        ref, est = np.full(20, 0.7), np.full(20, level)
+        assert sc.aligned_snr(ref, est, 10) == loop_aligned_snr(ref, est, 10)
+
+    def test_all_candidates_clamped_picks_the_first(self, rng):
+        ref = rng.standard_normal(100)
+        expected = (-300.0, sc.Alignment(1, -50))
+        assert loop_aligned_snr(ref, 1e20 * ref, 50) == expected
+        assert sc.aligned_snr(ref, 1e20 * ref, 50) == expected
+
+    def test_huge_radius_costs_no_more_than_the_signal_length(self, rng):
+        ref = rng.standard_normal(100)
+        for est in (np.roll(ref, 7) + 0.5 * rng.standard_normal(100),
+                    rng.standard_normal(100)):
+            start = time.perf_counter()
+            snr, _ = sc.aligned_snr(ref, est, 10**9)
+            assert time.perf_counter() - start < 5.0
+            assert snr == loop_aligned_snr(ref, est, 101)[0]
+
+    def test_ratio_underflow_clamps_without_a_warning(self):
+        # ref_energy / err underflows to 0 before the logarithm
+        snr, alignment = sc.aligned_snr(np.full(4, 1e-160), np.full(4, 1e20), 1)
+        assert (snr, alignment) == (-300.0, sc.Alignment(1, -1))
+
+    @pytest.mark.parametrize("radius", [-1, 2.5, True, "3", None])
+    def test_bad_radius_rejected(self, rng, radius):
+        x = rng.standard_normal(16)
+        with pytest.raises(sc.InputError, match="nonnegative integer"):
+            sc.aligned_snr(x, x, radius)
+
+    def test_numpy_integer_radius_accepted(self, rng):
+        x = rng.standard_normal(16)
+        assert sc.aligned_snr(x, x, np.int64(3)) == sc.aligned_snr(x, x, 3)
+
+    @pytest.mark.parametrize("where", ["ref", "est"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_or_overflowing_samples_rejected(self, rng, where, bad):
+        # a NaN shifted out of the compared span must not be dropped silently
+        x, y = rng.standard_normal(16), rng.standard_normal(16)
+        (x if where == "ref" else y)[3] = bad
+        with pytest.raises(sc.InputError):
+            sc.aligned_snr(x, y, 4)
+
     def test_errors(self, rng):
         with pytest.raises(sc.InputError):
             sc.aligned_snr(np.zeros(3), np.zeros(4), 1)
+        with pytest.raises(sc.InputError):
+            sc.aligned_snr(np.zeros((2, 4)), np.ones((2, 4)), 1)
+        with pytest.raises(sc.InputError):
+            sc.aligned_snr(np.zeros(0), np.zeros(0), 1)
         with pytest.raises(sc.MetricError):
             sc.aligned_snr(np.zeros(8), rng.standard_normal(8), 1)
 
