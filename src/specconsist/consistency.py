@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InputError
 from .stft import (StftConfig, _add_blocks, _analyze_frames, _check_frames,
-                   _coerce_spec, _frames, _overlap_add)
+                   _coerce_spec, _frames, _overlap_add, _sum_squares)
 
 
 def get_kernel(config: StftConfig) -> StftConfig:
@@ -58,8 +58,7 @@ def residual(spec, config: StftConfig) -> np.ndarray:
 
 def loss_ec(spec, config: StftConfig) -> float:
     """Sum of squared residual magnitudes (unnormalized)."""
-    r = residual(spec, config)
-    return float(np.vdot(r, r).real)
+    return _sum_squares(residual(spec, config))
 
 
 def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
@@ -99,7 +98,7 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
     h *= mag
     u = np.fft.ifft(h, axis=1)
     e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e)
-    loss = config.window_len * float(np.vdot(e, e).real)
+    loss = config.window_len * _sum_squares(e)
     g = np.fft.fft(ws.error(e, ws.analysis_n, config.synthesis_window, u), axis=1)
     g.imag *= h.real  # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
     g.real *= h.imag

@@ -12,7 +12,7 @@ import numpy as np
 
 from .consistency import loss_ec
 from .errors import InputError, MetricError
-from .stft import Signal, StftConfig, _coerce_spec, stft
+from .stft import Signal, StftConfig, _coerce_spec, _sum_squares, stft
 
 DB_CLAMP = 300.0
 
@@ -44,7 +44,7 @@ class EvalReport:
 def consistency_measure(spec, config: StftConfig) -> float:
     """Normalized residual norm sqrt(loss / ||H||^2); 0 iff consistent."""
     data, _ = _coerce_spec(spec, config)
-    norm_sq = float(np.vdot(data, data).real)
+    norm_sq = _sum_squares(data)
     if norm_sq == 0.0:
         raise MetricError("consistency measure undefined for a zero spectrogram")
     return float(np.sqrt(loss_ec(data, config) / norm_sq))
@@ -56,10 +56,10 @@ def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:
     est_mag = np.asarray(est_mag, dtype=np.float64)
     if ref_mag.shape != est_mag.shape:
         raise InputError("magnitude shapes differ")
-    ref_norm = np.linalg.norm(ref_mag)
+    ref_norm = np.sqrt(_sum_squares(ref_mag))
     if ref_norm == 0.0:
         raise MetricError("spectral convergence undefined for a zero reference")
-    err = np.linalg.norm(ref_mag - est_mag)
+    err = np.sqrt(_sum_squares(ref_mag - est_mag))
     if err == 0.0:
         return -DB_CLAMP
     return float(np.clip(20.0 * np.log10(err / ref_norm), -DB_CLAMP, DB_CLAMP))
@@ -91,8 +91,10 @@ def _samples(signal) -> np.ndarray:
 
 
 # Screening tolerance per sample, relative to ||ref||^2 + 2|c_s| + ||est||^2.
-# The energies, the correlation, the prefix sum and the directly summed error
-# each carry at most about n*eps of those energies; 16 leaves a margin of 3x.
+# The energies and the directly summed error (`_sum_squares`), the correlation
+# (one einsum row of n products per shift) and the cumsum prefix each carry at
+# most about n*eps of those energies; 16 leaves a margin of 3x. None of them
+# calls BLAS, whose thread count would otherwise change the bits.
 _SCREEN_EPS = 16 * np.finfo(np.float64).eps
 
 
@@ -120,7 +122,7 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     if n == 0:
         raise InputError("signals must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_energy, est_energy = float(np.dot(ref, ref)), float(np.dot(est, est))
+        ref_energy, est_energy = _sum_squares(ref), _sum_squares(est)
     # Every error below is at most 2 * (ref_energy + est_energy).
     if not np.isfinite(4.0 * (ref_energy + est_energy)):
         raise InputError("signals must be finite, with energies far below the float64 limit")
@@ -129,7 +131,8 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
 
     inner = min(radius, n - 1)
     shifts = np.arange(-inner, inner + 1)
-    cross = np.correlate(np.pad(est, inner), ref, "valid")
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(est, inner), n)
+    cross = np.einsum("ij,j->i", windows, ref)
     prefix = np.concatenate(([0.0], np.cumsum(est * est)))
     shifted_energy = prefix[np.minimum(n, n + shifts)] - prefix[np.maximum(0, shifts)]
     screened = (ref_energy + shifted_energy)[:, None] + np.outer(cross, [-2.0, 2.0])
@@ -143,7 +146,7 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     with np.errstate(divide="ignore"):  # ref_energy / err may underflow to 0
         for sign, shift in candidates:
             diff = ref - sign * _shifted(est, shift)
-            err = float(np.dot(diff, diff))
+            err = _sum_squares(diff)
             snr = DB_CLAMP if err == 0.0 else float(
                 np.clip(10.0 * np.log10(ref_energy / err), -DB_CLAMP, DB_CLAMP))
             if snr > best[0]:

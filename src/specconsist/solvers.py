@@ -15,8 +15,8 @@ import numpy as np
 from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad, loss_ec
 from .errors import DivergenceError, InputError
-from .stft import (Signal, Spectrogram, StftConfig, _check_frames, istft,
-                   signal_length, stft)
+from .stft import (Signal, Spectrogram, StftConfig, _check_frames, _sum_squares,
+                   istft, signal_length, stft)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -164,7 +164,7 @@ def _round_trip(mag, phase, config: StftConfig, sig_len: int):
     """H = mag e^{jP}, its projection Z = STFT(iSTFT(H)), and ||H - Z||^2."""
     h = mag * np.exp(1j * phase)
     z = stft(istft(Spectrogram(h, config), length=sig_len), config).data
-    return h, z, float(np.vdot(h - z, h - z).real)
+    return h, z, _sum_squares(h - z)
 
 
 def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,

@@ -25,6 +25,12 @@ from .errors import ConfigError, DegenerateWindowError, InputError
 
 WINDOW_KINDS = ("hann", "rectangular")
 
+# Floats per row of `_sum_squares`. A global phase shift moves `loss_ec` by up
+# to 2 ulps even when summed exactly. Over 80,000 random residuals up to 512
+# bins wide, rows of 32 kept it within 4 ulps; rows of 64 let 2 cases reach 5,
+# and one row per frame let about 1 case in 200 pass 4.
+_SUM_ROW = 32
+
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -206,6 +212,28 @@ def _check_frames(data: np.ndarray, config: StftConfig, what: str) -> np.ndarray
         raise InputError(f"{what} must be 2-D with at least one frame of "
                          f"{config.window_len} bins, got shape {data.shape}")
     return data
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    """Sum of ``|x|**2`` over every element, the same bits at any thread count.
+
+    BLAS dots and norms split long sums across the BLAS library's threads, so
+    their rounding follows its thread count. Here the flat float values (real
+    and imaginary parts, for complex input) are cut into rows of ``_SUM_ROW``;
+    ``einsum``, which never calls BLAS, sums the squares of each row and
+    numpy's pairwise ``add.reduce`` adds the row sums. Short rows keep the
+    relative error below ``2 * _SUM_ROW * eps`` at any size, and no temporary
+    is larger than ``x.size / _SUM_ROW`` unless ``x`` is not contiguous.
+    """
+    flat = np.ravel(x)
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    bulk = flat.size - flat.size % _SUM_ROW
+    rows, tail = flat[:bulk].reshape(-1, _SUM_ROW), flat[bulk:]
+    total = np.add.reduce(np.einsum("ij,ij->i", rows, rows))
+    if tail.size:
+        total += np.einsum("i,i->", tail, tail)
+    return float(total)
 
 
 def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:

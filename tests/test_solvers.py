@@ -4,7 +4,7 @@ import pytest
 import specconsist as sc
 from specconsist.consistency import get_kernel
 from specconsist.solvers import SolverOptions, gd_reconstruct, griffin_lim
-from specconsist.stft import istft, stft
+from specconsist.stft import _sum_squares, istft, stft
 
 # Frozen once from this implementation (two-sinusoid magnitude, defaults,
 # seed 7); guards the descent path against regressions.
@@ -20,13 +20,16 @@ def two_sine_magnitude(cfg):
 
 
 def reference_gla_inconsistency(mag, phase, config):
-    """Independent recomputation of the inconsistency measure."""
+    """Independent recomputation of the inconsistency measure.
+
+    Sums with the library's own reduction, so equal results are bitwise equal.
+    """
     m = mag.shape[0]
     sig_len = m * config.hop - config.window_len + config.hop
     h = mag * np.exp(1j * phase)
     x = istft(sc.Spectrogram(h, config), length=sig_len)
     z = stft(x, config).data
-    return float(np.vdot(h - z, h - z).real)
+    return _sum_squares(h - z)
 
 
 class TestGriffinLim:

@@ -1,14 +1,18 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specconsist import (ConfigError, DegenerateWindowError, InputError,
                          Signal, Spectrogram, compress_magnitude,
                          expand_half_spectrum, grad_loss_ec_phase, istft,
                          loss_ec, loss_ec_phase, loss_time, make_config,
                          num_frames, overlap_add, project, residual, stft)
-from specconsist.stft import shifted_square_sum, signal_length
+from specconsist.stft import _SUM_ROW, _sum_squares, shifted_square_sum, signal_length
 
 
 def naive_stft(x, config):
@@ -302,3 +306,40 @@ class TestStftConfigIdentity:
                                       overlap_add(spec))
         with pytest.raises(InputError):
             overlap_add(spec, b)
+
+
+# Floats whose squares neither overflow nor underflow, so relative error is defined.
+_finite_reals = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+_LAYOUTS = {
+    "1-D": lambda a: a.ravel(),
+    "2-D": lambda a: a,
+    "transposed": lambda a: a.T,
+    "every other row": lambda a: a[::2],
+    "every third column": lambda a: a[:, ::3],
+    "strided 1-D": lambda a: a[:, 0],
+}
+
+
+class TestSumSquares:
+    @settings(max_examples=150, deadline=None)
+    @given(re=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 70)),
+                     elements=_finite_reals),
+           complex_=st.booleans(), layout=st.sampled_from(sorted(_LAYOUTS)),
+           data=st.data())
+    def test_matches_the_fsum_oracle(self, re, complex_, layout, data):
+        x = re
+        if complex_:
+            im = data.draw(arrays(np.float64, re.shape, elements=_finite_reals))
+            x = re + 1j * im
+        x = _LAYOUTS[layout](x)
+        floats = np.concatenate([x.real.ravel(), x.imag.ravel()]) if complex_ else x.ravel()
+        exact = math.fsum(v * v for v in floats.tolist())
+        got = _sum_squares(x)
+        assert abs(got - exact) <= 2 * _SUM_ROW * np.finfo(np.float64).eps * exact
+
+    def test_empty_and_zero_dimensional_inputs(self):
+        assert _sum_squares(np.zeros((0, 4))) == 0.0
+        assert _sum_squares(np.zeros(0, complex)) == 0.0
+        assert _sum_squares(np.array(3.0)) == 9.0
+        assert _sum_squares(np.array(3 + 4j)) == 25.0
