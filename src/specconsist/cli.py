@@ -23,7 +23,7 @@ import numpy as np
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
 from .stft import (WINDOW_KINDS, _check_frames, _check_length, expand_half_spectrum,
-                   make_config, signal_length, stft)
+                   make_config, num_frames, signal_length, stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -172,8 +172,8 @@ def cmd_analyze(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
     config = make_config(**cfg["stft"])
     signal, meta = audio_io.read_wav(args.input, downmix=args.downmix)
-    spec = stft(signal, config)
-    measure = metrics.consistency_measure(spec, config)
+    measure = metrics.consistency_measure(signal, config)
+    frames = num_frames(len(signal), config)
     report = {
         "command": "analyze",
         "config": cfg,
@@ -181,13 +181,13 @@ def cmd_analyze(args) -> int:
                   "sample_rate": meta.sample_rate, "encoding": meta.encoding},
         "results": {
             "consistency_measure": measure,
-            "frames": spec.num_frames,
+            "frames": frames,
             "bins": config.window_len,
         },
     }
     out = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "report.json"
     _write_report(out, report)
-    print(f"consistency_measure={measure:.6e} frames={spec.num_frames} "
+    print(f"consistency_measure={measure:.6e} frames={frames} "
           f"bins={config.window_len} -> {out}")
     return EXIT_OK
 

@@ -10,9 +10,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .consistency import loss_ec
+from .consistency import _blocked_loss
 from .errors import InputError, MetricError
-from .stft import Signal, StftConfig, _coerce_spec, _sum_squares, stft
+from .stft import (Signal, StftConfig, _analyze_frames, _coerce_spec, _padded,
+                   _sum_squares, stft)
 
 DB_CLAMP = 300.0
 
@@ -42,12 +43,24 @@ class EvalReport:
 
 
 def consistency_measure(spec, config: StftConfig) -> float:
-    """Normalized residual norm sqrt(loss / ||H||^2); 0 iff consistent."""
-    data, _ = _coerce_spec(spec, config)
-    norm_sq = _sum_squares(data)
+    """Normalized residual norm sqrt(loss / ||H||^2); 0 iff consistent.
+
+    ``spec`` is a spectrogram, or a ``Signal`` whose STFT is measured. A
+    signal's STFT is taken one block of frames at a time, inside the blocked
+    loss, so the full M x N array is never held: memory stays at a few blocks
+    plus one padded copy of the samples.
+    """
+    if isinstance(spec, Signal):
+        x_padded, m = _padded(spec, config)
+        hop = config.hop
+        rows = lambda lo, hi: _analyze_frames(x_padded[lo * hop:], config, hi - lo)
+    else:
+        data, config = _coerce_spec(spec, config)
+        m, rows = data.shape[0], lambda lo, hi: data[lo:hi]
+    loss, norm_sq = _blocked_loss(rows, m, config, energy=True)
     if norm_sq == 0.0:
         raise MetricError("consistency measure undefined for a zero spectrogram")
-    return float(np.sqrt(loss_ec(data, config) / norm_sq))
+    return float(np.sqrt(loss / norm_sq))
 
 
 def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:

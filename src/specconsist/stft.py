@@ -185,14 +185,19 @@ def stft(signal, config: StftConfig) -> Spectrogram:
     Accepts a Signal or a bare 1-D array (real or complex; complex input is
     needed when re-analyzing an exact inverse).
     """
+    x_padded, m = _padded(signal, config)
+    return Spectrogram(_analyze_frames(x_padded, config, m), config)
+
+
+def _padded(signal, config: StftConfig) -> tuple[np.ndarray, int]:
+    """``stft``'s zero-padded input and frame count; ``signal`` as ``stft`` takes it."""
     x = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
     x = x.ravel()
     if x.size == 0:
         raise InputError("cannot compute the STFT of an empty signal")
     if not np.iscomplexobj(x):
-        x = x.astype(np.float64)
-    x_padded, m = _pad_signal(x, config)
-    return Spectrogram(_analyze_frames(x_padded, config, m), config)
+        x = x.astype(np.float64, copy=False)  # _pad_signal copies it anyway
+    return _pad_signal(x, config)
 
 
 def _coerce_spec(spec, config: StftConfig | None) -> tuple[np.ndarray, StftConfig]:

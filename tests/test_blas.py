@@ -93,7 +93,8 @@ def corpus(tmp_path_factory):
     (["reconstruct", "corpus/chirp.wav", "--solver", "gla", "--iters", "10",
       "--reference", "corpus/chirp.wav", "--out", "out"],
      ["report.json", "trace.csv"]),
-], ids=["compare", "reconstruct"])
+    (["analyze", "corpus/tones.wav", "--out", "out/report.json"], ["report.json"]),
+], ids=["compare", "reconstruct", "analyze"])
 def test_output_is_independent_of_the_blas_thread_count(corpus, args, outputs):
     cwd = corpus.parent
     runs = []

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 import specconsist as sc
 from specconsist import audio_io, cli, solvers
@@ -136,6 +137,34 @@ class TestAnalyze:
     def test_missing_file_is_io_error(self, tmp_path):
         code = cli.main(["analyze", str(tmp_path / "nope.wav")])
         assert code == cli.EXIT_IO
+
+    # At the default 512/128 any signal of at most R = 128 samples has Q = 4
+    # frames, each mostly padding.
+    @pytest.mark.parametrize("samples", [1, 100])
+    def test_short_wav_has_q_frames(self, tmp_path, samples):
+        wav, out = tmp_path / "in.wav", tmp_path / "report.json"
+        signal = sc.Signal(np.linspace(0.1, 0.5, samples), 8000)
+        write_wav(signal, WavMeta(8000, 1, "float32", samples), wav)
+        assert cli.main(["analyze", str(wav), "--out", str(out)]) == cli.EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert results["frames"] == 4
+        assert results["consistency_measure"] < 1e-7
+
+    def test_all_zero_wav_is_input_error_and_writes_nothing(self, tmp_path):
+        wav, out = tmp_path / "in.wav", tmp_path / "run" / "report.json"
+        write_wav(sc.Signal(np.zeros(800), 8000), WavMeta(8000, 1, "pcm16", 800), wav)
+        assert cli.main(["analyze", str(wav), "--out", str(out)]) == cli.EXIT_INPUT
+        assert not out.parent.exists()
+
+    def test_stereo_wav_with_downmix(self, tmp_path):
+        wav, out = tmp_path / "st.wav", tmp_path / "report.json"
+        data = np.random.default_rng(3).uniform(-0.5, 0.5, (2000, 2)).astype(np.float32)
+        wavfile.write(wav, 8000, data)
+        assert cli.main(["analyze", str(wav), "--out", str(out)]) == cli.EXIT_INPUT
+        assert cli.main(["analyze", str(wav), "--downmix", "--out", str(out)]) == cli.EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert results["frames"] == sc.num_frames(2000, sc.make_config(512, 128))
+        assert results["consistency_measure"] < 1e-7
 
 
 class TestReconstruct:

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist.consistency import _apply, _Workspace, ec_loss_and_grad, get_kernel
-from specconsist.stft import WINDOW_KINDS, project, stft
+from specconsist.consistency import (_BLOCK, _apply, _Workspace, ec_loss_and_grad,
+                                     get_kernel)
+from specconsist.stft import WINDOW_KINDS, _sum_squares, project, stft
 
 from conftest import random_spectrogram
 
@@ -200,6 +201,36 @@ class TestLossEc:
         h = random_spectrogram(np.random.default_rng(seed), m, cfg.window_len)
         base = sc.loss_ec(h, cfg)
         assert abs(sc.loss_ec(h * np.exp(1j * theta), cfg) - base) <= 4.0 * np.spacing(base)
+
+
+# Q = 4 in each; the frame counts cover M < Q, one block, a block and a frame
+# on either side of it, and several blocks with a partial last one.
+BLOCKED_CONFIGS = [(64, 16, "hann"), (512, 128, "hann"), (16, 4, "rectangular")]
+_EDGE_FRAMES = [1, 3, 4, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 4]
+blocked_frames = st.one_of(st.sampled_from(_EDGE_FRAMES), st.integers(1, 3 * _BLOCK + 4))
+
+
+class TestBlockedSums:
+    """``loss_ec`` and ``consistency_measure`` sum by blocks; ``_apply`` is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from(BLOCKED_CONFIGS), m=blocked_frames,
+           seed=st.integers(0, 2**32 - 1))
+    def test_loss_ec_matches_the_full_residual(self, size, m, seed):
+        cfg = sc.make_config(*size)
+        h = random_spectrogram(np.random.default_rng(seed), m, cfg.window_len)
+        oracle = _sum_squares(_apply(h, cfg, cfg.analysis_window, cfg.synthesis_window))
+        assert abs(sc.loss_ec(h, cfg) - oracle) <= 1e-12 * oracle
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from(BLOCKED_CONFIGS), m=blocked_frames,
+           seed=st.integers(0, 2**32 - 1))
+    def test_measure_matches_the_full_residual(self, size, m, seed):
+        cfg = sc.make_config(*size)
+        h = random_spectrogram(np.random.default_rng(seed), m, cfg.window_len)
+        loss = _sum_squares(_apply(h, cfg, cfg.analysis_window, cfg.synthesis_window))
+        oracle = np.sqrt(loss / _sum_squares(h))
+        assert abs(sc.consistency_measure(h, cfg) - oracle) <= 1e-12 * oracle
 
 
 class TestLossEcPhase:

@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist.consistency import get_kernel
-from specconsist.stft import _sum_squares, stft
+from specconsist import metrics
+from specconsist.consistency import _BLOCK, get_kernel
+from specconsist.stft import _sum_squares, signal_length, stft
 
 from conftest import random_spectrogram
+from test_consistency import BLOCKED_CONFIGS
 
 
 class TestConsistencyMeasure:
@@ -45,6 +49,40 @@ class TestConsistencyMeasure:
         k = get_kernel(cfg_64_16)
         with pytest.raises(sc.MetricError):
             sc.consistency_measure(np.zeros((4, 64), dtype=complex), k)
+
+    # From 1 sample (Q frames) to the longest signal of 3 blocks and Q frames.
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from(BLOCKED_CONFIGS), fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_signal_matches_its_stft(self, size, fraction, seed):
+        cfg = sc.make_config(*size)
+        length = 1 + int(fraction * (signal_length(3 * _BLOCK + 4, cfg) - 1))
+        signal = sc.Signal(np.random.default_rng(seed).standard_normal(length))
+        spec = stft(signal, cfg)
+        with mock.patch.object(metrics, "_blocked_loss", wraps=metrics._blocked_loss) as spy:
+            got = sc.consistency_measure(signal, cfg)
+        assert spy.call_args.args[1] == sc.num_frames(length, cfg) == spec.num_frames
+        # Both measures are rounding noise of a true STFT, so compare absolutely.
+        assert abs(got - sc.consistency_measure(spec, cfg)) <= 1e-15
+        assert got < 1e-7
+
+    def test_signal_measure_never_holds_the_full_stft(self, cfg_512_128):
+        signal = sc.Signal(np.random.default_rng(5).standard_normal(30 * 16000), 16000)
+        one_array = sc.num_frames(len(signal), cfg_512_128) * 512 * 16  # complex128
+        tracemalloc.start()
+        try:
+            measure = sc.consistency_measure(signal, cfg_512_128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert measure < 1e-7
+        assert peak < one_array / 3
+
+    def test_empty_and_zero_signals_rejected(self, cfg_64_16):
+        with pytest.raises(sc.InputError):
+            sc.consistency_measure(sc.Signal(np.zeros(0)), cfg_64_16)
+        with pytest.raises(sc.MetricError):
+            sc.consistency_measure(sc.Signal(np.zeros(100)), cfg_64_16)
 
 
 class TestSpectralConvergence:
