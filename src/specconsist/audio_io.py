@@ -17,6 +17,7 @@ SYNTH_KINDS = {"sine": ("freq",), "multisine": ("freqs",), "chirp": ("f0", "f1")
                "noise": (), "impulse": ()}
 
 _PCM16_SCALE = 32768.0
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -64,8 +65,8 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     """Write a mono signal; returns the number of samples clipped (pcm16 only).
 
     pcm16 clips to [-1, 1] before quantizing by 32768; float32 is written
-    verbatim. A zero-length signal is rejected. The parent directory is
-    created once every check has passed.
+    verbatim and rejects samples beyond the float32 range. A zero-length signal
+    is rejected. The parent directory is created once every check has passed.
     """
     if meta is None and not isinstance(signal, Signal):
         raise InputError("a bare sample array needs a WavMeta for its sample rate")
@@ -79,6 +80,8 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     encoding = meta.encoding if meta is not None else "float32"
     if encoding not in ENCODINGS:
         raise AudioFormatError(f"unsupported encoding {encoding!r}")
+    if encoding == "float32" and np.max(np.abs(x)) > _FLOAT32_MAX:
+        raise InputError(f"float32 samples must lie within +-{_FLOAT32_MAX:.7g}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     if encoding == "pcm16":
         clipped = np.clip(x, -1.0, 1.0)

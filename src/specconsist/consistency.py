@@ -139,10 +139,7 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
     """
     mag, phase = _check_pair(mag, phase, config)
     ws = workspace or _Workspace(mag.shape, config)
-    h = ws.h  # mag * exp(1j * phase) from one cos and one sin (bitwise on numpy 2.4)
-    np.cos(phase, out=h.real)
-    np.sin(phase, out=h.imag)
-    h *= mag
+    h = ws.polar(mag, phase)
     u = np.fft.ifft(h, axis=1)
     e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e)
     loss = config.window_len * _sum_squares(e)
@@ -155,8 +152,8 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
 
 
 class _Workspace:
-    """Buffers for one shape: ``ec_loss_and_grad``'s across a solver run, or one
-    block's in ``_blocked_loss``."""
+    """Buffers for one shape: ``ec_loss_and_grad``'s or ``griffin_lim``'s across a
+    solver run, or one block's in ``_blocked_loss``."""
 
     def __init__(self, shape: tuple[int, int], config: StftConfig):
         m, n = shape
@@ -168,6 +165,13 @@ class _Workspace:
         self.framed = _frames(self.y.ravel(), config, m)
         self.synthesis_n = n * config.synthesis_window
         self.analysis_n = n * config.analysis_window
+
+    def polar(self, mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """``mag * exp(1j * phase)`` into ``h``: one cos, one sin, bitwise on numpy 2.4."""
+        np.cos(phase, out=self.h.real)
+        np.sin(phase, out=self.h.imag)
+        self.h *= mag
+        return self.h
 
     def error(self, x: np.ndarray, scaled: np.ndarray, window: np.ndarray,
               out: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad, loss_ec
 from .errors import DivergenceError, InputError
-from .stft import (Signal, Spectrogram, StftConfig, _check_frames, _sum_squares,
-                   istft, signal_length, stft)
+from .stft import (Signal, Spectrogram, StftConfig, _add_blocks, _check_frames,
+                   _sum_squares, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -135,36 +135,61 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     the full window overlap, which makes the signal update an exact
     least-squares step; the inconsistency ``||A e^{jP} - STFT(iSTFT(A e^{jP}))||^2``
     is then non-increasing at every iteration.
+
+    An iteration takes one inverse and one forward FFT per frame: the
+    overlap-add that resynthesizes the signal also gives the trace's measure,
+    ``loss_ec`` by Parseval (see ``_project``). A non-finite inconsistency
+    raises DivergenceError carrying the partial trace, as in ``gd_reconstruct``.
     """
     opts.validate()
     mag = _check_magnitude(mag, config)
     sig_len = signal_length(mag.shape[0], config)
-    norm_sq = float(np.sum(mag ** 2))
     phase = _initial_phase(mag.shape, opts)
+    workspace = _Workspace(mag.shape, config)
 
     trace = SolveTrace()
     prev = None
-    for k in range(opts.max_iters):
-        h, z, inconsistency = _round_trip(mag, phase, config, sig_len)
-        trace.records.append(TraceRecord(
-            k, inconsistency, _normalized(loss_ec(h, config), norm_sq), 0.0))
-        # Keep the previous phase wherever the projection is exactly zero.
-        nz = np.abs(z) > 0.0
-        phase = np.where(nz, np.angle(z), phase)
-        if prev is not None and opts.tolerance > 0 and (prev - inconsistency) < opts.tolerance:
-            break
-        prev = inconsistency
-
-    trace.best_iteration = len(trace.records) - 1
-    trace.final_loss = _round_trip(mag, phase, config, sig_len)[2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm_sq = float(np.sum(mag ** 2))
+        for k in range(opts.max_iters):
+            loss, z, inconsistency = _project(workspace, mag, phase, sig_len)
+            trace.records.append(
+                TraceRecord(k, inconsistency, _normalized(loss, norm_sq), 0.0))
+            if not np.isfinite(inconsistency):
+                raise DivergenceError(
+                    f"inconsistency became non-finite at iteration {k}", trace=trace)
+            # Keep the previous phase wherever the projection is exactly zero.
+            nz = np.abs(z) > 0.0
+            phase = np.where(nz, np.angle(z), phase)
+            if (prev is not None and opts.tolerance > 0
+                    and (prev - inconsistency) < opts.tolerance):
+                break
+            prev = inconsistency
+        trace.best_iteration = len(trace.records) - 1
+        trace.final_loss = _project(workspace, mag, phase, sig_len)[2]
     return phase, trace
 
 
-def _round_trip(mag, phase, config: StftConfig, sig_len: int):
-    """H = mag e^{jP}, its projection Z = STFT(iSTFT(H)), and ||H - Z||^2."""
-    h = mag * np.exp(1j * phase)
-    z = stft(istft(Spectrogram(h, config), length=sig_len), config).data
-    return h, z, _sum_squares(h - z)
+def _project(ws: _Workspace, mag, phase, sig_len: int):
+    """``(loss_ec(H), Z, ||H - Z||^2)`` for H = mag e^{jP} and Z = STFT(iSTFT(H)).
+
+    With u = ifft(H), y = OLA(N*S*u) is ``overlap_add(H)``: ``loss_ec(H)`` is
+    N * ||W*frame(y) - u||^2, and Z re-analyzes the ``sig_len`` samples that
+    ``istft`` keeps of y's real part, zero-padded where ``stft`` pads them.
+    """
+    config, n = ws.config, ws.config.window_len
+    h = ws.polar(mag, phase)
+    u = np.fft.ifft(h, axis=1)
+    frames = np.multiply(u, n, out=ws.e)
+    frames *= config.synthesis_window  # istft's order, so out.wav keeps its bits
+    y = _add_blocks(frames, config, ws.y)
+    e = np.multiply(ws.framed, config.analysis_window, out=ws.e)
+    loss = n * _sum_squares(np.subtract(e, u, out=e))
+    start = n - config.hop
+    y.real[:start] = 0.0
+    y.real[start + sig_len:] = 0.0
+    z = np.fft.fft(ws.framed.real * config.analysis_window, axis=1)
+    return loss, z, _sum_squares(np.subtract(h, z, out=ws.e))
 
 
 def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
@@ -188,7 +213,6 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
             raise InputError(f"loss {loss!r} requires a target phase")
         target_phase = _check_phase(target_phase, mag.shape, "target phase")
 
-    norm_sq = float(np.sum(mag ** 2))
     phase = _initial_phase(mag.shape, opts)
     use_c1c2 = opts.parameterization == "c1_c2"
     if use_c1c2:
@@ -200,6 +224,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     best_phase = phase.copy()
     prev = None
     with np.errstate(invalid="ignore", over="ignore"):
+        norm_sq = float(np.sum(mag ** 2))
         for k in range(opts.max_iters):
             if use_c1c2:
                 phase = np.arctan2(c1, c2)

@@ -97,6 +97,23 @@ class TestWriteWav:
             write_wav(sc.Signal(np.zeros(8)), WavMeta(8000, 1, "mp3", 8), path)
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("bad", [1e39, -1e39, 3.5e38])
+    def test_float32_beyond_its_range_creates_nothing(self, tmp_path, bad):
+        # Casting would overflow to inf, which read_wav refuses; the suite's
+        # warning filter turns the cast's RuntimeWarning into an error, so the
+        # check must come first.
+        path = tmp_path / "new" / "f.wav"
+        with pytest.raises(sc.InputError, match="float32"):
+            write_wav(sc.Signal([0.5, bad]), WavMeta(8000, 1, "float32", 2), path)
+        assert not path.parent.exists()
+        assert write_wav(sc.Signal([0.5, bad]), WavMeta(8000, 1, "pcm16", 2), path) == 1
+
+    def test_float32_range_edge_round_trips(self, tmp_path):
+        edge = float(np.finfo(np.float32).max)
+        path = tmp_path / "e.wav"
+        write_wav(sc.Signal([edge, -edge, 0.0]), WavMeta(8000, 1, "float32", 3), path)
+        np.testing.assert_array_equal(read_wav(path)[0].samples, [edge, -edge, 0.0])
+
     def test_creates_missing_parent_directories(self, tmp_path):
         path = tmp_path / "a" / "b" / "s.wav"
         write_wav(sc.Signal(np.zeros(8), 8000), None, path)

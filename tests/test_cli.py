@@ -15,9 +15,9 @@ from scipy.io import wavfile
 import specconsist as sc
 from specconsist import audio_io, cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
-from specconsist.stft import WINDOW_KINDS, stft
+from specconsist.stft import WINDOW_KINDS, signal_length, stft
 
-from test_solvers import reference_gla_inconsistency
+from test_solvers import reference_gla_inconsistency, reference_griffin_lim
 
 
 def make_wav(path, kind="sine", sr=8000, duration=0.25, **params):
@@ -213,6 +213,53 @@ class TestReconstruct:
         phase, _ = solvers.griffin_lim(mag, cli._solver_options(cfg), config)
         assert report["results"]["final_loss"] == pytest.approx(
             reference_gla_inconsistency(mag, phase, config), rel=1e-12, abs=0)
+
+    def test_gla_out_wav_matches_the_three_transform_oracle(self, tmp_path):
+        config = sc.make_config(256, 64, "hann")
+        signal = sc.synth("chirp", {"f0": 200.0, "f1": 1500.0, "amp": 0.5}, 8000, 0.25)
+        mag = stft(signal, config).magnitude
+        np.save(tmp_path / "mag.npy", mag)
+        out = tmp_path / "run"
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", "gla",
+                         "--iters", "25", "--sr", "8000", "--out", str(out)]
+                        + STFT_FLAGS) == 0
+        cfg = json.loads((out / "report.json").read_text())["config"]
+        phase, want = reference_griffin_lim(mag, cli._solver_options(cfg), config)
+        recon = solvers.reconstruct_signal(mag, phase, config,
+                                           length=signal_length(len(mag), config),
+                                           sample_rate=8000)
+        write_wav(recon, WavMeta(8000, 1, "float32", len(recon)), tmp_path / "want.wav")
+        assert (out / "out.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(row[1]) for row in rows] == list(want.losses)
+
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    @pytest.mark.parametrize("scale", [1e154, 1e300, 1e307])
+    def test_overflowing_magnitude_is_divergence(self, tmp_path, solver, scale):
+        # ||mag||^2 overflows at every scale; the suite turns numpy's overflow
+        # warnings into errors, as python -W error does.
+        np.save(tmp_path / "mag.npy", np.full((23, 256), scale))
+        out = tmp_path / "run"
+        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", solver,
+                         "--iters", "5", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_DIVERGENCE
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 1 and not np.isfinite(float(rows[0][1]))
+
+    @pytest.mark.parametrize("encoding, code", [("float32", cli.EXIT_INPUT),
+                                                ("pcm16", cli.EXIT_OK)])
+    def test_output_beyond_float32_range(self, tmp_path, encoding, code):
+        config = sc.make_config(256, 64, "hann")
+        signal = sc.synth("sine", {"freq": 500.0, "amp": 0.4}, 8000, 0.25)
+        np.save(tmp_path / "mag.npy", 1e40 * stft(signal, config).magnitude)
+        out = tmp_path / "run"
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", "gla",
+                         "--iters", "3", "--encoding", encoding, "--out", str(out)]
+                        + STFT_FLAGS) == code
+        assert out.exists() == (code == cli.EXIT_OK)
 
     def test_gd_ec_improves_consistency(self, tmp_path):
         wav = tmp_path / "in.wav"
@@ -664,7 +711,8 @@ class TestCommandProperty:
                     st.sampled_from([(), (6,), (0, 64), (2, 64), (3, 33), (5, 10),
                                      (2, 5, 64)])))
                 source = tmp / "mag.npy"
-                np.save(source, np.random.default_rng(0).random(shape))
+                scale = draw(st.sampled_from([1.0, 1e154, 1e300]))
+                np.save(source, scale * np.random.default_rng(0).random(shape))
                 frames = shape[0] if shape else 1
             argv = ["reconstruct", str(source), *_SMALL_STFT,
                     *_draw_flags(draw, _FLAG_VALUES)]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist.consistency import get_kernel
+from specconsist import solvers
+from specconsist.consistency import get_kernel, loss_ec
 from specconsist.solvers import SolverOptions, gd_reconstruct, griffin_lim
-from specconsist.stft import _sum_squares, istft, stft
+from specconsist.stft import _sum_squares, istft, signal_length, stft
 
 # Frozen once from this implementation (two-sinusoid magnitude, defaults,
 # seed 7); guards the descent path against regressions.
@@ -19,17 +22,46 @@ def two_sine_magnitude(cfg):
     return stft(sig, cfg).magnitude, sig
 
 
+def reference_gla_projection(mag, phase, config):
+    """H = mag e^{jP} and its projection STFT(iSTFT(H)), from the public transforms."""
+    m = mag.shape[0]
+    sig_len = m * config.hop - config.window_len + config.hop
+    h = mag * np.exp(1j * phase)
+    x = istft(sc.Spectrogram(h, config), length=sig_len)
+    return h, stft(x, config).data
+
+
 def reference_gla_inconsistency(mag, phase, config):
     """Independent recomputation of the inconsistency measure.
 
     Sums with the library's own reduction, so equal results are bitwise equal.
     """
-    m = mag.shape[0]
-    sig_len = m * config.hop - config.window_len + config.hop
-    h = mag * np.exp(1j * phase)
-    x = istft(sc.Spectrogram(h, config), length=sig_len)
-    z = stft(x, config).data
+    h, z = reference_gla_projection(mag, phase, config)
     return _sum_squares(h - z)
+
+
+def reference_griffin_lim(mag, opts, config):
+    """The three-transform Griffin-Lim iteration, as the oracle of ``griffin_lim``.
+
+    Each iteration projects with ``istft`` and ``stft`` and scores the trace's
+    measure with a separate ``loss_ec``.
+    """
+    phase = solvers._initial_phase(mag.shape, opts)
+    norm_sq = float(np.sum(mag ** 2))
+    trace = solvers.SolveTrace()
+    prev = None
+    for k in range(opts.max_iters):
+        h, z = reference_gla_projection(mag, phase, config)
+        inconsistency = _sum_squares(h - z)
+        measure = solvers._normalized(loss_ec(h, config), norm_sq)
+        trace.records.append(solvers.TraceRecord(k, inconsistency, measure, 0.0))
+        phase = np.where(np.abs(z) > 0.0, np.angle(z), phase)
+        if prev is not None and opts.tolerance > 0 and (prev - inconsistency) < opts.tolerance:
+            break
+        prev = inconsistency
+    trace.best_iteration = len(trace.records) - 1
+    trace.final_loss = reference_gla_inconsistency(mag, phase, config)
+    return phase, trace
 
 
 class TestGriffinLim:
@@ -55,11 +87,7 @@ class TestGriffinLim:
         for k in range(10):
             expected = reference_gla_inconsistency(mag, p, cfg_256_64)
             assert abs(trace.records[k].loss - expected) <= 1e-9 * max(expected, 1.0)
-            m = mag.shape[0]
-            sig_len = m * cfg_256_64.hop - cfg_256_64.window_len + cfg_256_64.hop
-            h = mag * np.exp(1j * p)
-            z = stft(istft(sc.Spectrogram(h, cfg_256_64), length=sig_len),
-                     cfg_256_64).data
+            z = reference_gla_projection(mag, p, cfg_256_64)[1]
             p = np.where(np.abs(z) > 0, np.angle(z), p)
 
     def test_zero_magnitude_returns_phase_unchanged(self, cfg_64_16, rng):
@@ -90,6 +118,41 @@ class TestGriffinLim:
         phase, trace = griffin_lim(mag, opts, cfg_256_64)
         assert trace.final_loss == reference_gla_inconsistency(mag, phase, cfg_256_64)
         assert trace.final_loss <= trace.records[-1].loss
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_three_transform_oracle(self, data):
+        draw = data.draw
+        # At N = 48 the scaling by N is inexact, so only istft's operation
+        # order keeps the projection bitwise.
+        n, r, kind = draw(st.sampled_from([(16, 4, "rectangular"), (64, 16, "hann"),
+                                           (48, 12, "hann"), (512, 128, "hann")]))
+        config = sc.make_config(n, r, kind)
+        m = draw(st.integers(n // r, 140))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        mag = stft(rng.standard_normal(signal_length(m, config)), config).magnitude
+        mag[rng.random(mag.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = 0.0
+        init = draw(st.sampled_from(["zeros", "random_uniform", "provided"]))
+        opts = SolverOptions(
+            max_iters=draw(st.integers(1, 6)), init=init, seed=draw(st.integers(0, 9)),
+            tolerance=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+            init_phase=rng.uniform(-np.pi, np.pi, mag.shape) if init == "provided"
+            else None)
+        phase, trace = griffin_lim(mag, opts, config)
+        want_phase, want = reference_griffin_lim(mag, opts, config)
+        np.testing.assert_array_equal(phase, want_phase)
+        np.testing.assert_array_equal(trace.losses, want.losses)
+        assert trace.best_iteration == want.best_iteration
+        assert trace.final_loss == want.final_loss
+        np.testing.assert_allclose(trace.consistency_measures, want.consistency_measures,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e300, 1e307])
+    def test_overflow_raises_divergence_with_trace(self, cfg_64_16, scale):
+        with pytest.raises(sc.DivergenceError) as excinfo:
+            griffin_lim(np.full((6, 64), scale), SolverOptions(max_iters=3), cfg_64_16)
+        records = excinfo.value.trace.records
+        assert len(records) == 1 and not np.isfinite(records[0].loss)
 
 
 class TestGdReconstruct:
