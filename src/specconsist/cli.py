@@ -23,7 +23,7 @@ import numpy as np
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
 from .stft import (WINDOW_KINDS, _check_frames, _check_length, expand_half_spectrum,
-                   make_config, num_frames, signal_length, stft)
+                   istft, make_config, num_frames, signal_length, stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -260,8 +260,8 @@ def cmd_reconstruct(args) -> int:
             _write_trace(out_dir / "trace.csv", exc.trace)
         raise
 
-    recon = solvers.reconstruct_signal(mag, phase, config, length=length,
-                                       sample_rate=sample_rate)
+    spec = solvers._spectrogram(mag, phase, config)
+    recon = istft(spec, length=length, sample_rate=sample_rate)
 
     results = {
         "solver": solver_kind,
@@ -274,7 +274,7 @@ def cmd_reconstruct(args) -> int:
     }
     if reference is not None:
         results["eval"] = metrics.evaluate(
-            reference, recon, mag, phase, config,
+            reference, recon, mag, spec, config,
             cfg["metrics"]["search_radius"]).to_dict()
 
     audio_io.write_wav(recon, audio_io.WavMeta(sample_rate, 1, args.encoding,
@@ -301,10 +301,14 @@ def _compare_one(path: Path, loss_names, cfg, config):
     for loss in loss_names:
         target = None if loss == "ec" else clean_phase
         opts = _solver_options(cfg)
-        phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config)
-        recon = solvers.reconstruct_signal(mag, phase, config, length=len(signal))
-        scores = metrics.evaluate(signal, recon, mag, phase, config,
-                                  cfg["metrics"]["search_radius"])
+        try:
+            phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config)
+            spec = solvers._spectrogram(mag, phase, config)
+            scores = metrics.evaluate(signal, istft(spec, length=len(signal)), mag,
+                                      spec, config, cfg["metrics"]["search_radius"])
+        except SpecConsistError as exc:  # same class, trace and exit code
+            exc.args = (f"{path}, loss {loss.replace('_', '-')}: {exc}",)
+            raise
         rows.append([str(path), loss, trace.final_loss,
                      scores.consistency_measure, scores.aligned_snr_db,
                      scores.spectral_convergence_db])

@@ -139,10 +139,8 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
     """
     mag, phase = _check_pair(mag, phase, config)
     ws = workspace or _Workspace(mag.shape, config)
-    h = ws.polar(mag, phase)
-    u = np.fft.ifft(h, axis=1)
-    e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e)
-    loss = config.window_len * _sum_squares(e)
+    loss, u = ws.polar_loss(mag, phase)
+    h, e = ws.h, ws.e
     g = np.fft.fft(ws.error(e, ws.analysis_n, config.synthesis_window, u), axis=1)
     g.imag *= h.real  # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
     g.real *= h.imag
@@ -152,8 +150,7 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
 
 
 class _Workspace:
-    """Buffers for one shape: ``ec_loss_and_grad``'s or ``griffin_lim``'s across a
-    solver run, or one block's in ``_blocked_loss``."""
+    """Buffers for one shape: a solver run's, or one block's in ``_blocked_loss``."""
 
     def __init__(self, shape: tuple[int, int], config: StftConfig):
         m, n = shape
@@ -172,6 +169,13 @@ class _Workspace:
         np.sin(phase, out=self.h.imag)
         self.h *= mag
         return self.h
+
+    def polar_loss(self, mag: np.ndarray, phase: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(loss_ec(H), u)``: H = mag e^{jP} into ``h``, u = ifft(H), and the loss
+        by Parseval, N * ||e||^2 for e = W * frame(OLA(N*S*u)) - u, left in ``e``."""
+        u = np.fft.ifft(self.polar(mag, phase), axis=1)
+        e = self.error(u, self.synthesis_n, self.config.analysis_window, self.e)
+        return self.config.window_len * _sum_squares(e), u
 
     def error(self, x: np.ndarray, scaled: np.ndarray, window: np.ndarray,
               out: np.ndarray) -> np.ndarray:

@@ -169,12 +169,12 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     return best
 
 
-def evaluate(reference, recon, mag, phase, config: StftConfig,
+def evaluate(reference, recon, mag, spec, config: StftConfig,
              search_radius: int) -> EvalReport:
-    """Scores of ``recon``, resynthesized from ``mag * exp(1j * phase)``."""
+    """Scores of ``recon``, resynthesized from ``spec``, which has magnitude ``mag``."""
     snr, alignment = aligned_snr(reference, recon, search_radius)
     sc_db = spectral_convergence(mag, stft(recon, config).magnitude)
-    measure = consistency_measure(mag * np.exp(1j * phase), config)
+    measure = consistency_measure(spec, config)
     return EvalReport(measure, sc_db, snr, alignment)
 
 

@@ -109,28 +109,37 @@ def loss_time(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
 
 
 def time_value_and_grad(p, p_est, mag, config, norm="L2"):
-    _check_shapes(p, p_est, mag)
+    return _time_loss(p, mag, config, norm)(p_est, None)
+
+
+def _time_loss(p, mag, config, norm):
+    """``step(p_est, h_est)``: the time loss against the signal of ``(mag, p)``, made
+    here once. ``h_est`` is ``mag * exp(1j * p_est)``, or None for the step to build."""
+    _check_shapes(p, mag)
+    if norm not in ("L1", "L2"):
+        raise InputError(f"unknown norm {norm!r}; expected 'L1' or 'L2'")
     mag = np.asarray(mag, dtype=np.float64)
     m = _check_frames(np.asarray(p), config, "phase").shape[0]
     length = m * config.hop
-    h_est = mag * np.exp(1j * np.asarray(p_est, dtype=np.float64))
     y_ref = _synthesize(mag * np.exp(1j * np.asarray(p, dtype=np.float64)),
                         config, length)
-    diff = y_ref - _synthesize(h_est, config, length)
-    if norm == "L2":
-        value = float(np.sum(diff ** 2))
-        rho = -2.0 * diff
-    elif norm == "L1":
-        value = float(np.sum(np.abs(diff)))
-        rho = -np.sign(diff)
-    else:
-        raise InputError(f"unknown norm {norm!r}; expected 'L1' or 'L2'")
-    # Pull rho back through the synthesis: pad it as ``stft`` pads a signal and
-    # analyze with the synthesis window at the same m frame positions.
-    u = _analyze_frames(_pad_signal(rho, config)[0], config, m,
-                        window=config.synthesis_window)
-    grad = -np.imag(np.conj(u) * h_est)
-    return value, grad
+
+    def step(p_est, h_est):
+        if h_est is None:
+            _check_shapes(p_est, mag)
+            h_est = mag * np.exp(1j * np.asarray(p_est, dtype=np.float64))
+        diff = y_ref - _synthesize(h_est, config, length)
+        if norm == "L2":
+            value, rho = float(np.sum(diff ** 2)), -2.0 * diff
+        else:
+            value, rho = float(np.sum(np.abs(diff))), -np.sign(diff)
+        # Pull rho back through the synthesis: pad it as ``stft`` pads a signal
+        # and analyze with the synthesis window at the same m frame positions.
+        u = _analyze_frames(_pad_signal(rho, config)[0], config, m,
+                            window=config.synthesis_window)
+        return value, -np.imag(np.conj(u) * h_est)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +173,9 @@ def derivative_value_and_grad(p, p_est, base):
     if base not in _BASES:
         raise InputError(f"unknown base loss {base!r}; expected one of {_BASES}")
     _check_shapes(p, p_est)
-    fn = LOSSES[base][0]
-    v0, g0 = fn(p, p_est, None, None)
-    v1, g1 = fn(group_delay(p), group_delay(p_est), None, None)
-    v2, g2 = fn(inst_freq(p), inst_freq(p_est), None, None)
+    v0, g0 = _evaluate(base, p, p_est)
+    v1, g1 = _evaluate(base, group_delay(p), group_delay(p_est))
+    v2, g2 = _evaluate(base, inst_freq(p), inst_freq(p_est))
     grad = g0 + _diff_adjoint(g1, axis=1) + _diff_adjoint(g2, axis=0)
     return v0 + v1 + v2, grad
 
@@ -185,18 +193,22 @@ def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # loss table and reporting
 
-# name -> (value_and_grad(target, phase, mag, config), whether the loss is a
-# plain sum over bins). The entries look the functions up at call time, so a
-# wrapper installed on this module sees every call made through the table.
+# name -> (bind(target, mag, config), whether the loss is a plain sum over bins);
+# bind prepares what needs only the target and returns step(phase, h) -> (value,
+# grad), h = mag e^{j phase} or None. Names are looked up at call time (tracing).
 LOSSES = {
-    "cos": (lambda t, p, mag, cfg: cos_value_and_grad(t, p), True),
-    "aw": (lambda t, p, mag, cfg: aw_value_and_grad(t, p), True),
-    "comp_l1": (lambda t, p, mag, cfg: complex_value_and_grad(t, p, mag, "L1"), True),
-    "comp_l2": (lambda t, p, mag, cfg: complex_value_and_grad(t, p, mag, "L2"), True),
-    "time_l1": (lambda t, p, mag, cfg: time_value_and_grad(t, p, mag, cfg, "L1"), False),
-    "time_l2": (lambda t, p, mag, cfg: time_value_and_grad(t, p, mag, cfg, "L2"), False),
-    "cos_derv": (lambda t, p, mag, cfg: derivative_value_and_grad(t, p, "cos"), False),
-    "aw_derv": (lambda t, p, mag, cfg: derivative_value_and_grad(t, p, "aw"), False),
+    "cos": (lambda t, mag, cfg: lambda p, h: cos_value_and_grad(t, p), True),
+    "aw": (lambda t, mag, cfg: lambda p, h: aw_value_and_grad(t, p), True),
+    "comp_l1": (lambda t, mag, cfg: lambda p, h:
+                complex_value_and_grad(t, p, mag, "L1"), True),
+    "comp_l2": (lambda t, mag, cfg: lambda p, h:
+                complex_value_and_grad(t, p, mag, "L2"), True),
+    "time_l1": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L1"), False),
+    "time_l2": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L2"), False),
+    "cos_derv": (lambda t, mag, cfg: lambda p, h:
+                 derivative_value_and_grad(t, p, "cos"), False),
+    "aw_derv": (lambda t, mag, cfg: lambda p, h:
+                derivative_value_and_grad(t, p, "aw"), False),
 }
 _BASES = tuple(name.removesuffix("_derv") for name in LOSSES if name.endswith("_derv"))
 
@@ -212,18 +224,22 @@ def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
     """
     if name not in LOSSES:
         raise InputError(f"unknown loss {name!r}")
-    value_and_grad, per_bin = LOSSES[name]
     p = np.asarray(p, dtype=np.float64)
     p_est = np.asarray(p_est, dtype=np.float64)
-    report = LossReport(name, value_and_grad(p, p_est, mag, config)[0])
-    if per_bin:
-        rows = [value_and_grad(p[i:i + 1], p_est[i:i + 1],
-                               None if mag is None else np.asarray(mag)[i:i + 1],
-                               config)[0] for i in range(p.shape[0])]
+    report = LossReport(name, _evaluate(name, p, p_est, mag, config)[0])
+    if LOSSES[name][1]:  # a plain sum over bins
+        rows = [_evaluate(name, p[i:i + 1], p_est[i:i + 1],
+                          None if mag is None else np.asarray(mag)[i:i + 1],
+                          config)[0] for i in range(p.shape[0])]
         report.per_frame = np.array(rows)
     if name.endswith("_derv"):
-        fn = LOSSES[name.removesuffix("_derv")][0]
-        freq_edge = fn(group_delay(p)[:, :1], group_delay(p_est)[:, :1], None, None)
-        time_edge = fn(inst_freq(p)[:1], inst_freq(p_est)[:1], None, None)
+        base = name.removesuffix("_derv")
+        freq_edge = _evaluate(base, group_delay(p)[:, :1], group_delay(p_est)[:, :1])
+        time_edge = _evaluate(base, inst_freq(p)[:1], inst_freq(p_est)[:1])
         report.diagnostics["boundary_contribution"] = freq_edge[0] + time_edge[0]
     return report
+
+
+def _evaluate(name, p, p_est, mag=None, config=None):
+    """``name``'s (value, grad) at the one phase ``p_est``, through the table."""
+    return LOSSES[name][0](p, mag, config)(p_est, None)

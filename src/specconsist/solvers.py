@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase_losses
-from .consistency import _Workspace, ec_loss_and_grad, loss_ec
+from .consistency import _Workspace, ec_loss_and_grad
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _add_blocks, _check_frames,
                    _sum_squares, istft, signal_length)
@@ -200,6 +200,8 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     magnitude-phase consistency); every other loss requires one. Returns the
     lowest-loss iterate. A non-finite loss raises DivergenceError carrying the
     partial trace; numpy's overflow and invalid-value warnings never pre-empt it.
+    Each iteration builds H = mag e^{jP} once; any loss's measure is ``loss_ec(H)``
+    by Parseval, and a time loss reads H against a target synthesized once per run.
     """
     opts.validate()
     if loss not in LOSSES:
@@ -218,7 +220,9 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     if use_c1c2:
         c1, c2 = np.sin(phase), np.cos(phase)
 
-    workspace = _Workspace(mag.shape, config) if loss == "ec" else None
+    workspace = _Workspace(mag.shape, config)
+    loss_step = None if loss == "ec" else phase_losses.LOSSES[loss][0](
+        target_phase, mag, config)
     trace = SolveTrace()
     best_loss = np.inf
     best_phase = phase.copy()
@@ -228,9 +232,12 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
         for k in range(opts.max_iters):
             if use_c1c2:
                 phase = np.arctan2(c1, c2)
-            value, grad = _loss_and_grad(loss, mag, phase, target_phase, config,
-                                         workspace)
-            ec = value if loss == "ec" else loss_ec(mag * np.exp(1j * phase), config)
+            if loss == "ec":
+                value, grad = ec_loss_and_grad(mag, phase, config, workspace)
+                ec = value
+            else:  # the measure builds H in the workspace; a time loss reads it
+                ec = workspace.polar_loss(mag, phase)[0]
+                value, grad = loss_step(phase, workspace.h)
             measure = _normalized(ec, norm_sq)
             step = _step_size(k, opts)
             trace.records.append(TraceRecord(k, value, measure, step))
@@ -257,16 +264,15 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     return best_phase, trace
 
 
-def _loss_and_grad(name, mag, phase, target, config, workspace=None):
-    if name == "ec":
-        return ec_loss_and_grad(mag, phase, config, workspace)
-    return phase_losses.LOSSES[name][0](target, phase, mag, config)
-
-
 def reconstruct_signal(mag, phase, config: StftConfig, length: int | None = None,
                        sample_rate: int = 1) -> Signal:
     """Inverse STFT of ``mag * exp(1j * phase)``."""
+    return istft(_spectrogram(mag, phase, config), length=length,
+                 sample_rate=sample_rate)
+
+
+def _spectrogram(mag, phase, config: StftConfig) -> Spectrogram:
+    """``mag * exp(1j * phase)``, both checked: what ``reconstruct_signal`` inverts."""
     mag = _check_magnitude(mag, config)
     phase = _check_phase(phase, mag.shape, "phase")
-    h = Spectrogram(mag * np.exp(1j * phase), config)
-    return istft(h, length=length, sample_rate=sample_rate)
+    return Spectrogram(mag * np.exp(1j * phase), config)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -274,6 +275,35 @@ class TestReconstruct:
         measures = [float(r[2]) for r in rows[1:]]
         assert min(measures) < measures[0]
 
+    def test_eval_block_matches_the_public_path(self, tmp_path):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, "chirp", f0=200.0, f1=1500.0, amp=0.5)
+        signal = sc.read_wav(wav)[0]
+        config = sc.make_config(256, 64, "hann")
+        spec = stft(signal, config)
+        target = np.random.default_rng(5).uniform(-np.pi, np.pi, spec.data.shape)
+        np.save(tmp_path / "t.npy", target)
+        out = tmp_path / "run"
+        assert cli.main(["reconstruct", str(wav), "--loss", "time-l2", "--iters", "6",
+                         "--target-phase", str(tmp_path / "t.npy"), "--reference",
+                         str(wav), "--out", str(out)] + STFT_FLAGS) == 0
+        cfg = json.loads((out / "report.json").read_text())["config"]
+        mag = spec.magnitude
+        phase, _ = solvers.gd_reconstruct(mag, "time_l2", target,
+                                          cli._solver_options(cfg), config)
+        recon = solvers.reconstruct_signal(mag, phase, config, length=len(signal),
+                                           sample_rate=8000)
+        snr, alignment = sc.aligned_snr(signal, recon, 128)
+        want = {"consistency_measure": sc.consistency_measure(mag * np.exp(1j * phase),
+                                                              config),
+                "spectral_convergence_db": sc.spectral_convergence(
+                    mag, stft(recon, config).magnitude),
+                "aligned_snr_db": snr, "alignment": dataclasses.asdict(alignment)}
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["eval"] == want
+        write_wav(recon, WavMeta(8000, 1, "float32", len(recon)), tmp_path / "want.wav")
+        assert (out / "out.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
     def test_ec_with_target_phase_is_input_error(self, tmp_path):
         wav = tmp_path / "in.wav"
         signal = make_wav(wav)
@@ -541,6 +571,62 @@ class TestCompare:
                          "fixed", "--iters", "3", "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
         assert not out.parent.exists()
+
+    def test_diverging_file_and_loss_are_named(self, tmp_path, capsys):
+        corpus = self._make_corpus(tmp_path)
+        out = tmp_path / "outdir" / "r.csv"
+        code = cli.main(["compare", str(corpus), "--losses", "cos", "--step", "inf",
+                         "--step-rule", "fixed", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert f"{corpus / 'a.wav'}, loss cos: loss 'cos' became non-finite" in err
+        assert not out.parent.exists()
+        cfg = cli.resolve_config(None, {"solver": {"initial_step": np.inf,
+                                                   "step_rule": "fixed"}})
+        with pytest.raises(sc.DivergenceError) as excinfo:
+            cli._compare_one(corpus / "a.wav", ["cos"], cfg, sc.make_config(256, 64))
+        assert len(excinfo.value.trace.records) == 2
+
+    def test_all_zero_file_and_loss_are_named(self, tmp_path, capsys):
+        corpus = self._make_corpus(tmp_path)
+        write_wav(sc.Signal(np.zeros(2000), 8000), WavMeta(8000, 1, "pcm16", 2000),
+                  corpus / "silent.wav")
+        out = tmp_path / "outdir" / "r.csv"
+        code = cli.main(["compare", str(corpus), "--losses", "ec,cos", "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{corpus / 'silent.wav'}, loss ec: SNR undefined for a zero reference" \
+            in err
+        assert not out.parent.exists()
+
+    def test_rows_match_the_public_path(self, tmp_path):
+        corpus = self._make_corpus(tmp_path)
+        out = tmp_path / "r.csv"
+        flags = ["ec", "cos", "aw", "comp-l2", "time-l2"]
+        assert cli.main(["compare", str(corpus), "--losses", ",".join(flags), "--iters",
+                         "4", "--seed", "6", "--radius", "32", "--out", str(out)]
+                        + STFT_FLAGS) == 0
+        config = sc.make_config(256, 64, "hann")
+        opts = sc.SolverOptions(max_iters=4, seed=6)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["file", "loss", "final_loss", "consistency_measure",
+                         "aligned_snr_db", "spectral_convergence_db"])
+        for path in sorted(corpus.glob("*.wav")):
+            signal = sc.read_wav(path)[0]
+            spec = stft(signal, config)
+            mag = spec.magnitude
+            for loss in (cli.LOSS_FLAGS[flag] for flag in flags):
+                target = None if loss == "ec" else spec.phase
+                phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config)
+                recon = solvers.reconstruct_signal(mag, phase, config, length=len(signal))
+                writer.writerow([
+                    str(path), loss, trace.final_loss,
+                    sc.consistency_measure(mag * np.exp(1j * phase), config),
+                    sc.aligned_snr(signal, recon, 32)[0],
+                    sc.spectral_convergence(mag, stft(recon, config).magnitude)])
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         corpus = self._make_corpus(tmp_path)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
+from specconsist import phase_losses as pl
 from specconsist import solvers
 from specconsist.consistency import get_kernel, loss_ec
 from specconsist.solvers import SolverOptions, gd_reconstruct, griffin_lim
@@ -62,6 +63,57 @@ def reference_griffin_lim(mag, opts, config):
     trace.best_iteration = len(trace.records) - 1
     trace.final_loss = reference_gla_inconsistency(mag, phase, config)
     return phase, trace
+
+
+# Every loss but ``ec`` through its public value-and-gradient function.
+PUBLIC_LOSSES = {
+    "cos": lambda t, p, mag, cfg: pl.cos_value_and_grad(t, p),
+    "aw": lambda t, p, mag, cfg: pl.aw_value_and_grad(t, p),
+    "comp_l1": lambda t, p, mag, cfg: pl.complex_value_and_grad(t, p, mag, "L1"),
+    "comp_l2": lambda t, p, mag, cfg: pl.complex_value_and_grad(t, p, mag, "L2"),
+    "time_l1": lambda t, p, mag, cfg: pl.time_value_and_grad(t, p, mag, cfg, "L1"),
+    "time_l2": lambda t, p, mag, cfg: pl.time_value_and_grad(t, p, mag, cfg, "L2"),
+    "cos_derv": lambda t, p, mag, cfg: pl.derivative_value_and_grad(t, p, "cos"),
+    "aw_derv": lambda t, p, mag, cfg: pl.derivative_value_and_grad(t, p, "aw"),
+}
+
+
+def reference_gd_reconstruct(mag, loss, target, opts, config):
+    """Gradient descent on a loss other than ``ec``, as the oracle of ``gd_reconstruct``.
+
+    Each iteration calls the loss's public function, which builds its own
+    ``mag * exp(1j * phase)`` (a time loss also resynthesizes its target), and
+    scores the trace's measure with ``loss_ec`` of another such array.
+    """
+    phase = solvers._initial_phase(mag.shape, opts)
+    use_c1c2 = opts.parameterization == "c1_c2"
+    if use_c1c2:
+        c1, c2 = np.sin(phase), np.cos(phase)
+    trace = solvers.SolveTrace()
+    best_loss, best_phase, prev = np.inf, phase.copy(), None
+    norm_sq = float(np.sum(mag ** 2))
+    for k in range(opts.max_iters):
+        if use_c1c2:
+            phase = np.arctan2(c1, c2)
+        value, grad = PUBLIC_LOSSES[loss](target, phase, mag, config)
+        measure = solvers._normalized(loss_ec(mag * np.exp(1j * phase), config), norm_sq)
+        step = solvers._step_size(k, opts)
+        trace.records.append(solvers.TraceRecord(k, value, measure, step))
+        if value < best_loss:
+            best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
+        if use_c1c2:
+            r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
+            g1 = grad * c2 / r_sq
+            g2 = -grad * c1 / r_sq
+            c1 = c1 - step * g1
+            c2 = c2 - step * g2
+        else:
+            phase = phase - step * grad
+        if prev is not None and opts.tolerance > 0 and (prev - value) < opts.tolerance:
+            break
+        prev = value
+    trace.final_loss = best_loss
+    return best_phase, trace
 
 
 class TestGriffinLim:
@@ -222,8 +274,7 @@ class TestGdReconstruct:
         if loss == "ec":
             final = sc.loss_ec_phase(mag, phase, kernel)
         else:
-            from specconsist.solvers import _loss_and_grad
-            final, _ = _loss_and_grad(loss, mag, phase, target, cfg_64_16)
+            final, _ = PUBLIC_LOSSES[loss](target, phase, mag, cfg_64_16)
         assert final <= trace.records[0].loss * (1 + 1e-12)
 
     @pytest.mark.parametrize("loss", ["ec", "cos", "time_l2"])
@@ -264,6 +315,50 @@ class TestGdReconstruct:
         with pytest.raises(sc.DivergenceError) as excinfo:
             gd_reconstruct(np.ones((6, 64)), loss, target, opts, cfg_64_16)
         assert len(excinfo.value.trace.records) >= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_public_loss_oracle(self, data):
+        draw = data.draw
+        n, r, kind = draw(st.sampled_from([(16, 4, "rectangular"), (64, 16, "hann"),
+                                           (512, 128, "hann")]))
+        config = sc.make_config(n, r, kind)
+        m = draw(st.integers(n // r, 140 if n < 512 else 70))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        mag = stft(rng.standard_normal(signal_length(m, config)), config).magnitude
+        mag[rng.random(mag.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = 0.0
+        target = rng.uniform(-np.pi, np.pi, mag.shape)
+        loss = draw(st.sampled_from(sorted(PUBLIC_LOSSES)))
+        step = draw(st.sampled_from([1e-3, 0.05]))
+        opts = SolverOptions(
+            max_iters=draw(st.integers(1, 6)), seed=draw(st.integers(0, 9)),
+            step_rule=draw(st.sampled_from(solvers.STEP_RULES)), initial_step=step,
+            init=draw(st.sampled_from(["zeros", "random_uniform"])),
+            parameterization=draw(st.sampled_from(solvers.PARAMETERIZATIONS)),
+            tolerance=draw(st.sampled_from([0.0, 1e-3, 1.0])))
+        phase, trace = gd_reconstruct(mag, loss, target, opts, config)
+        want_phase, want = reference_gd_reconstruct(mag, loss, target, opts, config)
+        np.testing.assert_array_equal(phase, want_phase)
+        np.testing.assert_array_equal(trace.losses, want.losses)
+        assert [r.step_size for r in trace.records] == [r.step_size for r in want.records]
+        assert trace.best_iteration == want.best_iteration
+        assert trace.final_loss == want.final_loss
+        np.testing.assert_allclose(trace.consistency_measures, want.consistency_measures,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("loss", ["time_l1", "time_l2"])
+    def test_time_loss_synthesizes_its_target_once(self, cfg_64_16, rng, monkeypatch,
+                                                   loss):
+        calls = []
+        synthesize = pl._synthesize
+        monkeypatch.setattr(pl, "_synthesize",
+                            lambda *args: calls.append(1) or synthesize(*args))
+        mag = rng.uniform(0, 1, (8, 64))
+        target = rng.uniform(-np.pi, np.pi, (8, 64))
+        _, trace = gd_reconstruct(mag, loss, target, SolverOptions(max_iters=7),
+                                  cfg_64_16)
+        assert len(trace.records) == 7
+        assert len(calls) == 1 + 7  # the target once, then one estimate per iteration
 
     def test_c1_c2_parameterization_descends(self, cfg_64_16, rng):
         mag = rng.uniform(0, 1, (8, 64))
