@@ -106,13 +106,22 @@ def _number(kind, value, name: str):
         raise InputError(f"{name} must be a number, got {value!r}") from None
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as ``solvers._integer`` takes it; a config file may spell it "12"."""
+    return solvers._integer(_number(int, value, name) if isinstance(value, str)
+                            else value, name)
+
+
 def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
     fields = {}
     for name, default in _SOLVER_DEFAULTS.items():
-        value = cfg["solver"][name]
-        fields[name] = (_number(type(default), value, f"solver.{name}")
-                        if isinstance(default, (int, float)) else value)
-    return solvers.SolverOptions(**fields, seed=_number(int, cfg["seed"], "seed"),
+        value, key = cfg["solver"][name], f"solver.{name}"
+        if isinstance(default, int):
+            value = _integer(value, key)
+        elif isinstance(default, float):
+            value = _number(float, value, key)
+        fields[name] = value
+    return solvers.SolverOptions(**fields, seed=_integer(cfg["seed"], "seed"),
                                  init_phase=init_phase)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InputError
 from .stft import (StftConfig, _add_blocks, _analyze_frames, _check_frames,
-                   _coerce_spec, _frames, _overlap_add, _sum_squares)
+                   _coerce_spec, _frames, _overlap_add, _polar, _sum_squares)
 
 # Output frames per block of the blocked loss. At 512 bins a block of 64
 # frames and its halo fill 0.57 MB per complex array, so one block's few arrays
@@ -117,7 +117,7 @@ def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
     (the sign ambiguity of magnitude-only reconstruction).
     """
     mag, phase = _check_pair(mag, phase, config)
-    return loss_ec(mag * np.exp(1j * phase), config)
+    return loss_ec(_polar(phase, mag), config)
 
 
 def grad_loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
@@ -139,7 +139,7 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
     """
     mag, phase = _check_pair(mag, phase, config)
     ws = workspace or _Workspace(mag.shape, config)
-    loss, u = ws.polar_loss(mag, phase)
+    loss, u = ws.loss(_polar(phase, mag, ws.h))
     h, e = ws.h, ws.e
     g = np.fft.fft(ws.error(e, ws.analysis_n, config.synthesis_window, u), axis=1)
     g.imag *= h.real  # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
@@ -163,17 +163,10 @@ class _Workspace:
         self.synthesis_n = n * config.synthesis_window
         self.analysis_n = n * config.analysis_window
 
-    def polar(self, mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """``mag * exp(1j * phase)`` into ``h``: one cos, one sin, bitwise on numpy 2.4."""
-        np.cos(phase, out=self.h.real)
-        np.sin(phase, out=self.h.imag)
-        self.h *= mag
-        return self.h
-
-    def polar_loss(self, mag: np.ndarray, phase: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(loss_ec(H), u)``: H = mag e^{jP} into ``h``, u = ifft(H), and the loss
-        by Parseval, N * ||e||^2 for e = W * frame(OLA(N*S*u)) - u, left in ``e``."""
-        u = np.fft.ifft(self.polar(mag, phase), axis=1)
+    def loss(self, h: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(loss_ec(h), u)`` for u = ifft(h), by Parseval: N * ||e||^2 for
+        e = W * frame(y) - u, left in ``e``, with y = OLA(N*S*u) left in ``y``."""
+        u = np.fft.ifft(h, axis=1)
         e = self.error(u, self.synthesis_n, self.config.analysis_window, self.e)
         return self.config.window_len * _sum_squares(e), u
 

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .consistency import _Workspace
 from .errors import InputError
-from .stft import StftConfig, _analyze_frames, _check_frames, _pad_signal, _synthesize
+from .stft import StftConfig, _analyze_frames, _check_frames, _pad_signal, _polar
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,6 +52,10 @@ def wrap_residual(delta: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # direct phase losses
+#
+# Each loss is bound to its target once (see ``LOSSES``). The cos and complex
+# losses take cos(t - p) and sin(t - p) from the unit phasors e^{jt}, made at
+# binding, and e^{jp}, which a solver has already built for its iterate.
 
 
 def loss_cos(p: np.ndarray, p_est: np.ndarray) -> float:
@@ -59,9 +64,23 @@ def loss_cos(p: np.ndarray, p_est: np.ndarray) -> float:
 
 
 def cos_value_and_grad(p, p_est):
-    _check_shapes(p, p_est)
-    delta = p - p_est
-    return float(-np.sum(np.cos(delta))), -np.sin(delta)
+    return _evaluate("cos", p, p_est)
+
+
+def _phase_error(target: np.ndarray, unit: np.ndarray):
+    """cos(t - p) and sin(t - p) from the unit phasors e^{jt} and e^{jp}."""
+    tc, ts, pc, ps = target.real, target.imag, unit.real, unit.imag
+    return tc * pc + ts * ps, ts * pc - tc * ps
+
+
+def _cos_loss(t):
+    target = _polar(np.asarray(t, dtype=np.float64))
+
+    def step(p, unit=None, ws=None):
+        cos_err, sin_err = _phase_error(target, _polar(p) if unit is None else unit)
+        return float(-np.sum(cos_err)), np.negative(sin_err, out=sin_err)
+
+    return step
 
 
 def loss_aw(p: np.ndarray, p_est: np.ndarray) -> float:
@@ -86,20 +105,29 @@ def loss_complex(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
 
 
 def complex_value_and_grad(p, p_est, mag, norm="L2"):
-    _check_shapes(p, p_est, mag)
-    mag = np.asarray(mag, dtype=np.float64)
-    if np.any(mag < 0):
-        raise InputError("magnitude weights must be nonnegative")
-    delta = p - p_est
-    if norm == "L2":
-        value = float(np.sum(2.0 * mag * (1.0 - np.cos(delta))))
-        return value, -2.0 * mag * np.sin(delta)
-    if norm == "L1":
-        dist = np.sqrt(np.maximum(2.0 - 2.0 * np.cos(delta), 0.0))
-        value = float(np.sum(mag * dist))
-        grad = -mag * np.sin(delta) / np.maximum(dist, 1e-300)
-        return value, grad
-    raise InputError(f"unknown norm {norm!r}; expected 'L1' or 'L2'")
+    return _evaluate(_norm_name("comp", norm), p, p_est, mag)
+
+
+def _complex_loss(t, mag, norm):
+    _check_shapes(t, mag)
+    mag = _check_weights(mag)
+    target = _polar(np.asarray(t, dtype=np.float64))
+    two_mag = 2.0 * mag
+
+    def step(p, unit=None, ws=None):
+        unit = _polar(p) if unit is None else unit
+        cos_err, sin_err = _phase_error(target, unit)
+        if norm == "L2":  # 2A(1 - cos) and -2A sin, in place
+            np.subtract(1.0, cos_err, out=cos_err)
+            cos_err *= two_mag
+            sin_err *= two_mag
+            return float(np.sum(cos_err)), np.negative(sin_err, out=sin_err)
+        # |e^{jt} - e^{jp}| from the phasors: exactly 0 where they are equal
+        dr, di = target.real - unit.real, target.imag - unit.imag
+        dist = np.sqrt(dr * dr + di * di)
+        return float(np.sum(mag * dist)), -mag * sin_err / np.maximum(dist, 1e-300)
+
+    return step
 
 
 def loss_time(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
@@ -109,26 +137,35 @@ def loss_time(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
 
 
 def time_value_and_grad(p, p_est, mag, config, norm="L2"):
-    return _time_loss(p, mag, config, norm)(p_est, None)
+    return _evaluate(_norm_name("time", norm), p, p_est, mag, config)
 
 
-def _time_loss(p, mag, config, norm):
-    """``step(p_est, h_est)``: the time loss against the signal of ``(mag, p)``, made
-    here once. ``h_est`` is ``mag * exp(1j * p_est)``, or None for the step to build."""
-    _check_shapes(p, mag)
-    if norm not in ("L1", "L2"):
-        raise InputError(f"unknown norm {norm!r}; expected 'L1' or 'L2'")
-    mag = np.asarray(mag, dtype=np.float64)
-    m = _check_frames(np.asarray(p), config, "phase").shape[0]
-    length = m * config.hop
-    y_ref = _synthesize(mag * np.exp(1j * np.asarray(p, dtype=np.float64)),
-                        config, length)
+def _time_loss(t, mag, config, norm):
+    """``step(p_est, unit, ws)``: the time loss against the signal of ``(mag, t)``.
 
-    def step(p_est, h_est):
-        if h_est is None:
-            _check_shapes(p_est, mag)
-            h_est = mag * np.exp(1j * np.asarray(p_est, dtype=np.float64))
-        diff = y_ref - _synthesize(h_est, config, length)
+    Signals are the overlap-adds that ``_Workspace.loss`` leaves in ``ws.y``,
+    so in a solver the estimate's is the one its consistency measure has just
+    made from ``ws.h`` = mag e^{j p_est}; the target's is made here once. With
+    ``ws`` None the step makes the estimate's in its own workspace.
+    """
+    if not isinstance(config, StftConfig):
+        raise InputError("the time losses need the StftConfig of the phases")
+    _check_shapes(t, mag)
+    mag = _check_weights(mag)
+    t = np.asarray(t, dtype=np.float64)
+    m = _check_frames(t, config, "phase").shape[0]
+    start = config.window_len - config.hop  # the padding ``stft`` puts first
+
+    def measured(phase):
+        ws = _Workspace(mag.shape, config)
+        ws.loss(_polar(phase, mag, ws.h))
+        return ws
+
+    y_ref = measured(t).y.ravel().real[start:].copy()
+
+    def step(p_est, unit=None, ws=None):
+        ws = measured(p_est) if ws is None else ws
+        diff = y_ref - ws.y.ravel().real[start:]
         if norm == "L2":
             value, rho = float(np.sum(diff ** 2)), -2.0 * diff
         else:
@@ -137,9 +174,23 @@ def _time_loss(p, mag, config, norm):
         # and analyze with the synthesis window at the same m frame positions.
         u = _analyze_frames(_pad_signal(rho, config)[0], config, m,
                             window=config.synthesis_window)
-        return value, -np.imag(np.conj(u) * h_est)
+        h = ws.h  # the gradient is -Im(conj(u) * h)
+        return value, u.imag * h.real - u.real * h.imag
 
     return step
+
+
+def _norm_name(kind: str, norm: str) -> str:
+    if norm not in ("L1", "L2"):
+        raise InputError(f"unknown norm {norm!r}; expected 'L1' or 'L2'")
+    return f"{kind}_{norm.lower()}"
+
+
+def _check_weights(mag) -> np.ndarray:
+    mag = np.asarray(mag, dtype=np.float64)
+    if np.any(mag < 0):
+        raise InputError("magnitude weights must be nonnegative")
+    return mag
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +223,23 @@ def loss_with_derivatives(p: np.ndarray, p_est: np.ndarray, base: str) -> float:
 def derivative_value_and_grad(p, p_est, base):
     if base not in _BASES:
         raise InputError(f"unknown base loss {base!r}; expected one of {_BASES}")
-    _check_shapes(p, p_est)
-    v0, g0 = _evaluate(base, p, p_est)
-    v1, g1 = _evaluate(base, group_delay(p), group_delay(p_est))
-    v2, g2 = _evaluate(base, inst_freq(p), inst_freq(p_est))
-    grad = g0 + _diff_adjoint(g1, axis=1) + _diff_adjoint(g2, axis=0)
-    return v0 + v1 + v2, grad
+    return _evaluate(f"{base}_derv", p, p_est)
+
+
+def _derivative_loss(t, base: str):
+    """The base loss bound to the target, its group delay and its instantaneous
+    frequency once; a step reads the iterate's phasor for the first term only."""
+    t = np.asarray(t, dtype=np.float64)
+    bind = LOSSES[base][0]
+    s0, s1, s2 = (bind(x, None, None) for x in (t, group_delay(t), inst_freq(t)))
+
+    def step(p, unit=None, ws=None):
+        v0, g0 = s0(p, unit)
+        v1, g1 = s1(group_delay(p))
+        v2, g2 = s2(inst_freq(p))
+        return v0 + v1 + v2, g0 + _diff_adjoint(g1, axis=1) + _diff_adjoint(g2, axis=0)
+
+    return step
 
 
 def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
@@ -194,21 +256,19 @@ def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 # loss table and reporting
 
 # name -> (bind(target, mag, config), whether the loss is a plain sum over bins);
-# bind prepares what needs only the target and returns step(phase, h) -> (value,
-# grad), h = mag e^{j phase} or None. Names are looked up at call time (tracing).
+# bind prepares what needs only the target and returns step(phase, unit, ws) ->
+# (value, grad). A solver passes unit = e^{j phase} and the ``_Workspace`` whose
+# ``loss`` it has just run on mag * unit; a step given None builds what it needs.
 LOSSES = {
-    "cos": (lambda t, mag, cfg: lambda p, h: cos_value_and_grad(t, p), True),
-    "aw": (lambda t, mag, cfg: lambda p, h: aw_value_and_grad(t, p), True),
-    "comp_l1": (lambda t, mag, cfg: lambda p, h:
-                complex_value_and_grad(t, p, mag, "L1"), True),
-    "comp_l2": (lambda t, mag, cfg: lambda p, h:
-                complex_value_and_grad(t, p, mag, "L2"), True),
+    "cos": (lambda t, mag, cfg: _cos_loss(t), True),
+    "aw": (lambda t, mag, cfg: lambda p, unit=None, ws=None: aw_value_and_grad(t, p),
+           True),
+    "comp_l1": (lambda t, mag, cfg: _complex_loss(t, mag, "L1"), True),
+    "comp_l2": (lambda t, mag, cfg: _complex_loss(t, mag, "L2"), True),
     "time_l1": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L1"), False),
     "time_l2": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L2"), False),
-    "cos_derv": (lambda t, mag, cfg: lambda p, h:
-                 derivative_value_and_grad(t, p, "cos"), False),
-    "aw_derv": (lambda t, mag, cfg: lambda p, h:
-                derivative_value_and_grad(t, p, "aw"), False),
+    "cos_derv": (lambda t, mag, cfg: _derivative_loss(t, "cos"), False),
+    "aw_derv": (lambda t, mag, cfg: _derivative_loss(t, "aw"), False),
 }
 _BASES = tuple(name.removesuffix("_derv") for name in LOSSES if name.endswith("_derv"))
 
@@ -242,4 +302,6 @@ def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
 
 def _evaluate(name, p, p_est, mag=None, config=None):
     """``name``'s (value, grad) at the one phase ``p_est``, through the table."""
-    return LOSSES[name][0](p, mag, config)(p_est, None)
+    _check_shapes(p, p_est)
+    p_est = np.asarray(p_est, dtype=np.float64)
+    return LOSSES[name][0](p, mag, config)(p_est)

@@ -16,7 +16,7 @@ from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _add_blocks, _check_frames,
-                   _sum_squares, istft, signal_length)
+                   _polar, _sum_squares, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -37,6 +37,8 @@ class SolverOptions:
     init_phase: np.ndarray | None = None
 
     def validate(self):
+        self.max_iters = _integer(self.max_iters, "max_iters")
+        self.seed = _integer(self.seed, "seed")
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
         if not (self.initial_step > 0 and self.final_step > 0):
@@ -51,6 +53,16 @@ class SolverOptions:
             raise InputError(f"unknown init {self.init!r}")
         if self.parameterization not in PARAMETERIZATIONS:
             raise InputError(f"unknown parameterization {self.parameterization!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integral number and not a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -138,47 +150,57 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
 
     An iteration takes one inverse and one forward FFT per frame: the
     overlap-add that resynthesizes the signal also gives the trace's measure,
-    ``loss_ec`` by Parseval (see ``_project``). A non-finite inconsistency
-    raises DivergenceError carrying the partial trace, as in ``gd_reconstruct``.
+    ``loss_ec`` by Parseval (see ``_project``). The iterate is carried as its
+    unit phasor, Z/|Z| wherever the projection Z is nonzero and the previous one
+    elsewhere, so no angle, cos or sin is taken inside the loop; the returned
+    phase is its angle, and the initial phase where Z was always zero. A
+    non-finite inconsistency raises DivergenceError carrying the partial trace,
+    as in ``gd_reconstruct``.
     """
     opts.validate()
     mag = _check_magnitude(mag, config)
     sig_len = signal_length(mag.shape[0], config)
     phase = _initial_phase(mag.shape, opts)
     workspace = _Workspace(mag.shape, config)
+    unit = _polar(phase)
+    moved = np.zeros(mag.shape, bool)
 
     trace = SolveTrace()
     prev = None
     with np.errstate(invalid="ignore", over="ignore"):
         norm_sq = float(np.sum(mag ** 2))
         for k in range(opts.max_iters):
-            loss, z, inconsistency = _project(workspace, mag, phase, sig_len)
+            h = np.multiply(unit, mag, out=workspace.h)
+            loss, z, inconsistency = _project(workspace, h, sig_len)
             trace.records.append(
                 TraceRecord(k, inconsistency, _normalized(loss, norm_sq), 0.0))
             if not np.isfinite(inconsistency):
                 raise DivergenceError(
                     f"inconsistency became non-finite at iteration {k}", trace=trace)
-            # Keep the previous phase wherever the projection is exactly zero.
-            nz = np.abs(z) > 0.0
-            phase = np.where(nz, np.angle(z), phase)
+            r = np.abs(z)
+            nz = r > 0.0
+            np.divide(z.real, r, out=unit.real, where=nz)
+            np.divide(z.imag, r, out=unit.imag, where=nz)
+            moved |= nz
             if (prev is not None and opts.tolerance > 0
                     and (prev - inconsistency) < opts.tolerance):
                 break
             prev = inconsistency
+        phase = np.where(moved, np.angle(unit), phase)
         trace.best_iteration = len(trace.records) - 1
-        trace.final_loss = _project(workspace, mag, phase, sig_len)[2]
+        h = _polar(phase, mag, workspace.h)
+        trace.final_loss = _project(workspace, h, sig_len)[2]
     return phase, trace
 
 
-def _project(ws: _Workspace, mag, phase, sig_len: int):
-    """``(loss_ec(H), Z, ||H - Z||^2)`` for H = mag e^{jP} and Z = STFT(iSTFT(H)).
+def _project(ws: _Workspace, h, sig_len: int):
+    """``(loss_ec(H), Z, ||H - Z||^2)`` for H = ``h`` and Z = STFT(iSTFT(H)).
 
     With u = ifft(H), y = OLA(N*S*u) is ``overlap_add(H)``: ``loss_ec(H)`` is
     N * ||W*frame(y) - u||^2, and Z re-analyzes the ``sig_len`` samples that
     ``istft`` keeps of y's real part, zero-padded where ``stft`` pads them.
     """
     config, n = ws.config, ws.config.window_len
-    h = ws.polar(mag, phase)
     u = np.fft.ifft(h, axis=1)
     frames = np.multiply(u, n, out=ws.e)
     frames *= config.synthesis_window  # istft's order, so out.wav keeps its bits
@@ -201,7 +223,10 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     lowest-loss iterate. A non-finite loss raises DivergenceError carrying the
     partial trace; numpy's overflow and invalid-value warnings never pre-empt it.
     Each iteration builds H = mag e^{jP} once; any loss's measure is ``loss_ec(H)``
-    by Parseval, and a time loss reads H against a target synthesized once per run.
+    by Parseval. Any other loss builds the unit phasor e^{jP} once, H = mag e^{jP}
+    from it, and reads both: a target loss forms cos and sin of the phase error
+    from the phasors, and a time loss takes the estimate's signal from the
+    measure's overlap-add.
     """
     opts.validate()
     if loss not in LOSSES:
@@ -220,9 +245,10 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     if use_c1c2:
         c1, c2 = np.sin(phase), np.cos(phase)
 
+    if loss != "ec":  # bound before the workspace exists, so their peaks never add
+        loss_step = phase_losses.LOSSES[loss][0](target_phase, mag, config)
+        unit = np.empty(mag.shape, complex)
     workspace = _Workspace(mag.shape, config)
-    loss_step = None if loss == "ec" else phase_losses.LOSSES[loss][0](
-        target_phase, mag, config)
     trace = SolveTrace()
     best_loss = np.inf
     best_phase = phase.copy()
@@ -235,9 +261,10 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
             if loss == "ec":
                 value, grad = ec_loss_and_grad(mag, phase, config, workspace)
                 ec = value
-            else:  # the measure builds H in the workspace; a time loss reads it
-                ec = workspace.polar_loss(mag, phase)[0]
-                value, grad = loss_step(phase, workspace.h)
+            else:
+                _polar(phase, out=unit)
+                ec = workspace.loss(np.multiply(unit, mag, out=workspace.h))[0]
+                value, grad = loss_step(phase, unit, workspace)
             measure = _normalized(ec, norm_sq)
             step = _step_size(k, opts)
             trace.records.append(TraceRecord(k, value, measure, step))
@@ -275,4 +302,4 @@ def _spectrogram(mag, phase, config: StftConfig) -> Spectrogram:
     """``mag * exp(1j * phase)``, both checked: what ``reconstruct_signal`` inverts."""
     mag = _check_magnitude(mag, config)
     phase = _check_phase(phase, mag.shape, "phase")
-    return Spectrogram(mag * np.exp(1j * phase), config)
+    return Spectrogram(_polar(phase, mag), config)

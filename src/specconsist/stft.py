@@ -241,6 +241,25 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(total)
 
 
+def _polar(phase: np.ndarray, mag: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``mag * exp(1j * phase)`` into ``out`` from one cos and one sin; the unit
+    phasor ``exp(1j * phase)`` when ``mag`` is None.
+
+    The solvers, the losses and ``reconstruct_signal`` build every such array
+    here. On numpy 2.4 it gives the bits of ``mag * np.exp(1j * phase)``, which
+    is slower and allocates more (a test pins the equality), except that a
+    phase of -0.0 keeps its sign in the imaginary part.
+    """
+    if out is None:
+        out = np.empty(np.shape(phase), complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    if mag is not None:
+        out *= mag
+    return out
+
+
 def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:
     """Exact linear inverse: synthesis-windowed overlap-add on the padded axis.
 
@@ -283,7 +302,9 @@ def istft(spec, config: StftConfig | None = None, length: int | None = None,
     data, config = _coerce_spec(spec, config)
     m = data.shape[0]
     length = m * config.hop if length is None else _check_length(length, m, config)
-    return Signal(_synthesize(data, config, length), sample_rate=sample_rate)
+    start = config.window_len - config.hop
+    return Signal(overlap_add(data, config).real[start : start + length],
+                  sample_rate=sample_rate)
 
 
 def _check_length(length: int, frames: int, config: StftConfig) -> int:
@@ -292,12 +313,6 @@ def _check_length(length: int, frames: int, config: StftConfig) -> int:
     if length < 0 or length > full:
         raise InputError(f"length must be in [0, {full}] for {frames} frames")
     return length
-
-
-def _synthesize(data: np.ndarray, config: StftConfig, length: int) -> np.ndarray:
-    """``istft`` samples without its checks, so non-finite values pass through."""
-    start = config.window_len - config.hop
-    return overlap_add(data, config).real[start : start + length]
 
 
 def project(spec, config: StftConfig | None = None) -> Spectrogram:

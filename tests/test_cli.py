@@ -80,6 +80,32 @@ class TestResolveConfig:
                          "--out", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
 
 
+    @pytest.mark.parametrize("file_cfg", [
+        {"solver": {"max_iters": 2.5}},
+        {"solver": {"max_iters": True}},
+        {"seed": 1.5},
+        {"seed": True},
+    ])
+    def test_non_integers_in_integer_fields_are_input_errors(self, tmp_path, file_cfg):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        with pytest.raises(sc.InputError, match="must be an integer"):
+            cli.resolve_config(cfg_file)
+        mag = np.ones((8, 64))
+        np.save(tmp_path / "mag.npy", mag)
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--config",
+                         str(cfg_file), "--out", str(tmp_path / "run"),
+                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_INPUT
+        assert not (tmp_path / "run").exists()
+
+    def test_integral_numbers_in_integer_fields_are_accepted(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"solver": {"max_iters": 3.0}, "seed": "4"}))
+        opts = cli._solver_options(cli.resolve_config(cfg_file))
+        assert (opts.max_iters, opts.seed) == (3, 4)
+        assert type(opts.max_iters) is int and type(opts.seed) is int
+
+
 class TestTables:
     def test_solver_defaults_come_from_solver_options(self):
         defaults = sc.SolverOptions()

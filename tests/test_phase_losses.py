@@ -5,7 +5,38 @@ from hypothesis import strategies as st
 
 import specconsist as sc
 from specconsist import phase_losses as pl
-from specconsist.stft import shifted_square_sum, stft
+from specconsist.stft import istft, shifted_square_sum, stft
+
+
+# The losses' formulas in the phase difference P - P', which they evaluated
+# before they read phasors and overlap-adds: the oracle of TestPhasorForms.
+def difference_cos(p, q):
+    delta = p - q
+    return float(-np.sum(np.cos(delta))), -np.sin(delta)
+
+
+def difference_complex(p, q, a, norm):
+    delta = p - q
+    if norm == "L2":
+        return float(np.sum(2.0 * a * (1.0 - np.cos(delta)))), -2.0 * a * np.sin(delta)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * np.cos(delta), 0.0))
+    return float(np.sum(a * dist)), -a * np.sin(delta) / np.maximum(dist, 1e-300)
+
+
+def resynthesized_time(p, q, a, config, norm):
+    """The time loss from ``istft`` of each phase; also returns both signals."""
+    m, n, r = p.shape[0], config.window_len, config.hop
+    y_ref, y_est = (istft(sc.Spectrogram(a * np.exp(1j * x), config),
+                          length=m * r).samples for x in (p, q))
+    diff = y_ref - y_est
+    if norm == "L2":
+        value, rho = float(np.sum(diff ** 2)), -2.0 * diff
+    else:
+        value, rho = float(np.sum(np.abs(diff))), -np.sign(diff)
+    padded = np.concatenate([np.zeros(n - r), rho])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n)[::r][:m]
+    u = np.fft.fft(frames * config.synthesis_window, axis=1)
+    return value, -np.imag(np.conj(u) * a * np.exp(1j * q)), y_ref, y_est
 
 
 class TestLossCos:
@@ -61,6 +92,17 @@ class TestLossComplex:
         with pytest.raises(sc.InputError):
             pl.loss_complex(p, p, -np.ones((2, 2)), "L2")
 
+    def test_l1_gradient_near_equal_phases_is_the_weight(self):
+        # |A e^{jP} - A e^{jP'}| is A|P - P'| near P' = P, so its slope is -+A;
+        # sqrt(2 - 2cos) rounds the distance to 0 below about 1e-8 and divided
+        # by 1e-300 instead.
+        p = np.array([[0.3, 1.0, -2.0, 2.5]])
+        q = p + np.array([[1e-9, -1e-12, 1e-7, -1e-10]])
+        a = np.array([[1.0, 2.0, 0.5, 3.0]])
+        value, grad = pl.complex_value_and_grad(p, q, a, "L1")
+        assert value == pytest.approx(np.sum(a * np.abs(p - q)), rel=1e-3)
+        np.testing.assert_allclose(grad, a * np.sign(q - p), rtol=1e-3)
+
     def test_nonnegative(self, rng):
         p = rng.uniform(-np.pi, np.pi, (6, 6))
         q = rng.uniform(-np.pi, np.pi, (6, 6))
@@ -104,6 +146,80 @@ class TestLossTime:
         a = rng.uniform(0, 1, (5, 64))
         assert pl.loss_time(p, q, a, cfg_64_16, "L2") >= 0.0
         assert pl.loss_time(p, q, a, cfg_64_16, "L1") >= 0.0
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_negative_weights_rejected(self, cfg_64_16, norm):
+        p = np.zeros((4, 64))
+        with pytest.raises(sc.InputError, match="nonnegative"):
+            pl.loss_time(p, p, -np.ones((4, 64)), cfg_64_16, norm)
+        with pytest.raises(sc.InputError, match="nonnegative"):
+            pl.loss_report(f"time_{norm.lower()}", p, p, -np.ones((4, 64)), cfg_64_16)
+
+    @pytest.mark.parametrize("config", [None, "hann"])
+    def test_missing_config_rejected(self, config):
+        p = np.zeros((4, 64))
+        with pytest.raises(sc.InputError, match="StftConfig"):
+            pl.loss_report("time_l2", p, p, np.ones((4, 64)), config)
+        with pytest.raises(sc.InputError, match="StftConfig"):
+            pl.loss_time(p, p, np.ones((4, 64)), config)
+
+
+class TestPhasorForms:
+    """The cos and complex losses against ``difference_*``, the time losses against
+    ``resynthesized_time``. The bounds are about 10x the worst seen over 300
+    random draws like these (2,000 more for L1)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_match_the_phase_difference_formulas(self, data):
+        draw = data.draw
+        n, r, kind = draw(st.sampled_from([(16, 4, "rectangular"), (64, 16, "hann"),
+                                           (48, 12, "hann"), (512, 128, "hann")]))
+        config = sc.make_config(n, r, kind)
+        m = draw(st.integers(n // r, 24))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = rng.uniform(-np.pi, np.pi, (m, n))
+        q = rng.uniform(-np.pi, np.pi, (m, n))
+        close = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.2]))
+        q[close] = p[close] + rng.uniform(-1e-6, 1e-6, close.sum())
+        a = rng.uniform(0, 2, (m, n))
+        a[rng.random((m, n)) < 0.1] = 0.0
+        dist = np.abs(np.exp(1j * p) - np.exp(1j * q))
+
+        value, grad = pl.cos_value_and_grad(p, q)
+        want_value, want_grad = difference_cos(p, q)
+        assert abs(value - want_value) <= 1e-15 * p.size
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=5e-15)
+
+        value, grad = pl.complex_value_and_grad(p, q, a, "L2")
+        want_value, want_grad = difference_complex(p, q, a, "L2")
+        assert abs(value - want_value) <= 5e-15 * a.sum()
+        assert np.all(np.abs(grad - want_grad) <= 1e-14 * a)
+
+        # 2 - 2cos loses digits as the distance d goes to 0: the formula's d is
+        # off by about 1e-16/d, and its gradient by 1e-16/d^2 relative. Below
+        # d = 1e-6 its gradient is not meaningful, and it is not compared.
+        value, grad = pl.complex_value_and_grad(p, q, a, "L1")
+        want_value, want_grad = difference_complex(p, q, a, "L1")
+        bound = np.sum(a * (1e-15 + 1e-14 / np.maximum(dist, 1e-8)))
+        assert abs(value - want_value) <= bound
+        far = dist > 1e-6
+        assert np.all((np.abs(grad - want_grad) * dist ** 2)[far] <= 1e-14 * a[far])
+
+        # The overlap-add scales by N*S where istft scales by N, then by S; the
+        # two agree bitwise for N a power of two. The gradient takes
+        # Im(conj(u) * h) from real products, not a complex multiply.
+        for norm in ("L1", "L2"):
+            value, grad = pl.time_value_and_grad(p, q, a, config, norm)
+            want_value, want_grad, y_ref, y_est = resynthesized_time(p, q, a, config,
+                                                                     norm)
+            if n & (n - 1) == 0:
+                assert value == want_value
+            power = 2 if norm == "L2" else 1
+            scale = np.sum(np.abs(y_ref) ** power) + np.sum(np.abs(y_est) ** power)
+            assert abs(value - want_value) <= 5e-15 * scale
+            np.testing.assert_allclose(grad, want_grad, rtol=0,
+                                       atol=5e-15 * np.abs(want_grad).max())
 
 
 class TestLossAw:

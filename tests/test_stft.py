@@ -12,7 +12,8 @@ from specconsist import (ConfigError, DegenerateWindowError, InputError,
                          expand_half_spectrum, grad_loss_ec_phase, istft,
                          loss_ec, loss_ec_phase, loss_time, make_config,
                          num_frames, overlap_add, project, residual, stft)
-from specconsist.stft import _SUM_ROW, _sum_squares, shifted_square_sum, signal_length
+from specconsist.stft import (_SUM_ROW, _polar, _sum_squares, shifted_square_sum,
+                              signal_length)
 
 
 def naive_stft(x, config):
@@ -319,6 +320,31 @@ _LAYOUTS = {
     "every third column": lambda a: a[:, ::3],
     "strided 1-D": lambda a: a[:, 0],
 }
+
+
+class TestPolar:
+    """The solvers and losses build every mag * e^{jP} with ``_polar`` (cos and
+    sin), while the tests' oracles build it with ``np.exp``. Their bitwise equality holds on
+    numpy 2.4; a numpy that breaks it fails here before any oracle does."""
+
+    @pytest.mark.parametrize("shape", [(23, 256), (128, 512), (3, 7)])
+    def test_matches_exp_bitwise(self, rng, shape):
+        phase = rng.uniform(-np.pi, np.pi, shape)
+        phase.flat[::5] = rng.uniform(-1e4, 1e4, phase.flat[::5].size)
+        phase.flat[:5] = [0.0, np.pi, -np.pi, np.pi / 2, 1e-300]
+        mag = rng.uniform(0.0, 3.0, shape)
+        mag.flat[::7] = 0.0
+        unit = np.exp(1j * phase)
+        assert _polar(phase).tobytes() == unit.tobytes()
+        assert _polar(phase, mag).tobytes() == (mag * unit).tobytes()
+        out = np.empty(shape, complex)
+        assert _polar(phase, mag, out) is out
+        assert out.tobytes() == (mag * np.exp(1j * phase)).tobytes()
+
+    def test_negative_zero_phase_keeps_its_sign(self):
+        # sin(-0.0) is -0.0, while 1j * -0.0 has a +0.0 imaginary part before exp
+        unit = _polar(np.array([-0.0]))
+        assert unit == np.exp(1j * -0.0) and np.signbit(unit.imag[0])
 
 
 class TestSumSquares:
