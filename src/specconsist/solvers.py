@@ -20,7 +20,7 @@ from .stft import (Signal, Spectrogram, StftConfig, _add_blocks, _check_frames,
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
-STEP_RULES = ("fixed", "cosine_anneal")
+STEP_RULES = ("fixed", "cosine_anneal", "relative")
 PARAMETERIZATIONS = ("direct_phase", "c1_c2")
 
 
@@ -116,12 +116,35 @@ def _check_phase(phase, shape, name: str) -> np.ndarray:
     return phase
 
 
-def _step_size(k: int, opts: SolverOptions) -> float:
+def _step_size(k: int, opts: SolverOptions, peak_sq: float) -> float:
+    """Step of iteration ``k``; ``peak_sq`` is max(mag)**2 (see ``_peak_square``)."""
+    if opts.step_rule == "relative":
+        return opts.initial_step / peak_sq
     if opts.step_rule == "fixed":
         return opts.initial_step
     span = max(opts.max_iters - 1, 1)
     frac = 0.5 * (1.0 + np.cos(np.pi * k / span))
     return opts.final_step + (opts.initial_step - opts.final_step) * frac
+
+
+def _peak_square(mag: np.ndarray, opts: SolverOptions) -> float:
+    """max(mag)**2, the scale of the ``relative`` step ``initial_step / max(mag)**2``.
+
+    For H = mag e^{jP}, a phase step d moves H by mag * j d e^{jP} to first
+    order, and the loss's curvature along d is 2 ||C (mag d e^{jP})||^2 plus a
+    term that vanishes with the residual C H. Since ||C|| = 1 (C = P - I for the
+    orthogonal projection P onto consistent arrays), that is at most
+    L = 2 max(mag)**2 ||d||^2: ``initial_step = 0.5`` is the 1/L step, and the
+    step scales with the input gain as the gradient does. Under this rule a
+    magnitude that makes the step zero or infinite, an all-zero one included,
+    is an InputError.
+    """
+    peak_sq = mag.max() ** 2
+    if opts.step_rule == "relative" and not (
+            peak_sq > 0 and 0 < opts.initial_step / float(peak_sq) < np.inf):
+        raise InputError("the relative step initial_step / max(mag)**2 is not "
+                         "positive and finite for this magnitude")
+    return peak_sq
 
 
 def _check_magnitude(mag, config: StftConfig) -> np.ndarray:
@@ -255,6 +278,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     prev = None
     with np.errstate(invalid="ignore", over="ignore"):
         norm_sq = float(np.sum(mag ** 2))
+        peak_sq = _peak_square(mag, opts)
         for k in range(opts.max_iters):
             if use_c1c2:
                 phase = np.arctan2(c1, c2)
@@ -266,7 +290,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
                 ec = workspace.loss(np.multiply(unit, mag, out=workspace.h))[0]
                 value, grad = loss_step(phase, unit, workspace)
             measure = _normalized(ec, norm_sq)
-            step = _step_size(k, opts)
+            step = _step_size(k, opts, peak_sq)
             trace.records.append(TraceRecord(k, value, measure, step))
             if not np.isfinite(value):
                 raise DivergenceError(

@@ -211,10 +211,8 @@ def test_desk_scale_pr_experiment():
 
         def ec_run(signal, iters, seed):
             mag = stft(signal, cfg).magnitude
-            step = 0.5 / mag.max() ** 2
-            opts = SolverOptions(max_iters=iters, step_rule="fixed",
-                                 initial_step=step, final_step=step,
-                                 init="random_uniform", seed=seed)
+            opts = SolverOptions(max_iters=iters, step_rule="relative",
+                                 initial_step=0.5, init="random_uniform", seed=seed)
             phase, trace = gd_reconstruct(mag, "ec", None, opts, cfg)
             init_phase = np.pi - np.random.default_rng(seed).uniform(
                 0, 2 * np.pi, mag.shape)

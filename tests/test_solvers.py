@@ -125,7 +125,7 @@ def reference_gd_reconstruct(mag, loss, target, opts, config):
             phase = np.arctan2(c1, c2)
         value, grad = PUBLIC_LOSSES[loss](target, phase, mag, config)
         measure = solvers._normalized(loss_ec(mag * np.exp(1j * phase), config), norm_sq)
-        step = solvers._step_size(k, opts)
+        step = solvers._step_size(k, opts, mag.max() ** 2)
         trace.records.append(solvers.TraceRecord(k, value, measure, step))
         if value < best_loss:
             best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
@@ -388,6 +388,10 @@ class TestGdReconstruct:
             init=draw(st.sampled_from(["zeros", "random_uniform"])),
             parameterization=draw(st.sampled_from(solvers.PARAMETERIZATIONS)),
             tolerance=draw(st.sampled_from([0.0, 1e-3, 1.0])))
+        if opts.step_rule == "relative" and not mag.any():
+            with pytest.raises(sc.InputError):
+                gd_reconstruct(mag, loss, target, opts, config)
+            return
         phase, trace = gd_reconstruct(mag, loss, target, opts, config)
         want_phase, want = reference_gd_reconstruct(mag, loss, target, opts, config)
         np.testing.assert_array_equal(phase, want_phase)
@@ -433,6 +437,51 @@ class TestGdReconstruct:
         steps = [rec.step_size for rec in trace.records]
         assert steps[0] == pytest.approx(1e-3)
         assert steps[-1] == pytest.approx(1e-5)
+
+    def test_relative_step_is_the_hand_scaled_fixed_step(self, cfg_64_16, rng):
+        mag = 3.0 * rng.uniform(0, 1, (8, 64))
+        opts = SolverOptions(max_iters=12, step_rule="relative", initial_step=0.5, seed=4)
+        step = 0.5 / mag.max() ** 2
+        by_hand = SolverOptions(max_iters=12, step_rule="fixed", initial_step=step,
+                                final_step=step, seed=4)
+        phase, trace = gd_reconstruct(mag, "ec", None, opts, cfg_64_16)
+        want_phase, want = gd_reconstruct(mag, "ec", None, by_hand, cfg_64_16)
+        assert phase.tobytes() == want_phase.tobytes()
+        assert [r.step_size for r in trace.records] == [step] * 12
+        np.testing.assert_array_equal(trace.losses, want.losses)
+
+    @pytest.mark.parametrize("peak", [0.0, 1e-160])
+    def test_relative_step_rejects_a_vanishing_magnitude(self, cfg_64_16, peak):
+        mag = np.zeros((8, 64))
+        mag[3, 5] = peak
+        opts = SolverOptions(max_iters=2, step_rule="relative", initial_step=0.5)
+        with pytest.raises(sc.InputError, match="relative step"):
+            gd_reconstruct(mag, "ec", None, opts, cfg_64_16)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-30, 30), seed=st.integers(0, 2**16),
+           iters=st.integers(1, 8), zeros=st.sampled_from([0.0, 0.3]),
+           parameterization=st.sampled_from(solvers.PARAMETERIZATIONS))
+    def test_relative_step_trajectory_ignores_the_input_gain(self, k, seed, iters,
+                                                             zeros, parameterization):
+        config = sc.make_config(64, 16, "hann")
+        rng = np.random.default_rng(seed)
+        mag = rng.uniform(0.1, 2.0, (10, 64))
+        mag[rng.random(mag.shape) < zeros] = 0.0
+        opts = dict(max_iters=iters, step_rule="relative", initial_step=0.5,
+                    seed=seed % 7, parameterization=parameterization)
+        gain = 2.0 ** k
+        phase, trace = gd_reconstruct(mag, "ec", None, SolverOptions(**opts), config)
+        scaled, scaled_trace = gd_reconstruct(gain * mag, "ec", None,
+                                              SolverOptions(**opts), config)
+        # power-of-two scaling is exact: every iterate's H, loss and gradient
+        # scale by 2**k, 4**k and 4**k, and the step by 4**-k
+        assert scaled.tobytes() == phase.tobytes()
+        np.testing.assert_array_equal(scaled_trace.losses, gain ** 2 * trace.losses)
+        np.testing.assert_array_equal(scaled_trace.consistency_measures,
+                                      trace.consistency_measures)
+        assert [r.step_size * gain ** 2 for r in scaled_trace.records] == \
+            [r.step_size for r in trace.records]
 
     def test_zeros_init(self, cfg_64_16, rng):
         mag = rng.uniform(0, 1, (8, 64))
