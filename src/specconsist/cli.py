@@ -295,11 +295,19 @@ def cmd_reconstruct(args) -> int:
         "config": cfg,
         "input": {"path": str(args.input)},
         "results": results,
+        "environment": _environment(),
     })
     print(f"{solver_kind}: loss {results['initial_loss']:.6e} -> "
           f"{results['final_loss']:.6e} in {results['iterations']} iterations "
           f"-> {out_dir}")
     return EXIT_OK
+
+
+def _environment() -> dict:
+    """numpy's version and SIMD dispatch: the last bits of a run follow them,
+    through numpy's tan, abs and angle kernels."""
+    return {"numpy": np.__version__,
+            "simd_extensions": np.show_config(mode="dicts")["SIMD Extensions"]}
 
 
 def _compare_one(path: Path, loss_names, cfg, config):

@@ -16,7 +16,7 @@ from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _add_blocks, _check_frames,
-                   _polar, _sum_squares, istft, signal_length)
+                   _polar, _sum_squares, _unit_phasor, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -128,16 +128,14 @@ def _step_size(k: int, opts: SolverOptions, peak_sq: float) -> float:
 
 
 def _peak_square(mag: np.ndarray, opts: SolverOptions) -> float:
-    """max(mag)**2, the scale of the ``relative`` step ``initial_step / max(mag)**2``.
+    """max(mag)**2, which the ``relative`` step ``initial_step / max(mag)**2`` divides by.
 
-    For H = mag e^{jP}, a phase step d moves H by mag * j d e^{jP} to first
-    order, and the loss's curvature along d is 2 ||C (mag d e^{jP})||^2 plus a
-    term that vanishes with the residual C H. Since ||C|| = 1 (C = P - I for the
-    orthogonal projection P onto consistent arrays), that is at most
-    L = 2 max(mag)**2 ||d||^2: ``initial_step = 0.5`` is the 1/L step, and the
-    step scales with the input gain as the gradient does. Under this rule a
-    magnitude that makes the step zero or infinite, an all-zero one included,
-    is an InputError.
+    A phase step d moves H = mag e^{jP} by mag * j d e^{jP} to first order, so
+    the loss's curvature along d is at most 2 ||C||^2 max(mag)**2 ||d||^2 plus a
+    term that vanishes with the residual C H. ||C|| = 1 (C = P - I, P an
+    orthogonal projection), so ``initial_step = 0.5`` is the 1/L step at any
+    input gain. A zero or infinite step, as from an all-zero magnitude, is an
+    InputError under this rule.
     """
     peak_sq = mag.max() ** 2
     if opts.step_rule == "relative" and not (
@@ -200,11 +198,7 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
             if not np.isfinite(inconsistency):
                 raise DivergenceError(
                     f"inconsistency became non-finite at iteration {k}", trace=trace)
-            r = np.abs(z)
-            nz = r > 0.0
-            np.divide(z.real, r, out=unit.real, where=nz)
-            np.divide(z.imag, r, out=unit.imag, where=nz)
-            moved |= nz
+            moved |= _unit_phasor(z, np.abs(z), unit)
             if (prev is not None and opts.tolerance > 0
                     and (prev - inconsistency) < opts.tolerance):
                 break

@@ -243,21 +243,44 @@ def _sum_squares(x: np.ndarray) -> float:
 
 def _polar(phase: np.ndarray, mag: np.ndarray | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
-    """``mag * exp(1j * phase)`` into ``out`` from one cos and one sin; the unit
-    phasor ``exp(1j * phase)`` when ``mag`` is None.
+    """``mag * exp(1j * phase)`` into ``out``; the unit phasor when ``mag`` is None.
 
     The solvers, the losses and ``reconstruct_signal`` build every such array
-    here. On numpy 2.4 it gives the bits of ``mag * np.exp(1j * phase)``, which
-    is slower and allocates more (a test pins the equality), except that a
-    phase of -0.0 keeps its sign in the imaginary part.
+    here, from one tangent: with t = tan(phase / 2), cos = (1-t)(1+t) / (1+t^2)
+    and sin = 2t / (1+t^2). numpy's float64 cos and sin run scalar code, its tan
+    SIMD code. Every entry is within 4 ulp(1) * mag of ``mag * np.exp(1j *
+    phase)``, with or without AVX-512 (a test checks both); a phase of -0.0
+    keeps its sign in the imaginary part, and a non-finite phase gives NaN
+    without a warning. numpy picks its tan kernel by CPU, so the bits are the
+    same on one host and numpy build, and within the bound across CPUs.
     """
     if out is None:
         out = np.empty(np.shape(phase), complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+    cos, sin = out.real, out.imag
+    with np.errstate(invalid="ignore"):  # tan of inf is NaN
+        t = np.multiply(phase, 0.5)
+        np.tan(t, out=t)
+    # ``sin`` holds 1 - t, then 1 + t^2, then the sine
+    np.add(t, 1.0, out=cos)
+    np.subtract(1.0, t, out=sin)
+    cos *= sin
+    np.multiply(t, t, out=sin)
+    sin += 1.0
+    cos /= sin
+    t += t
+    np.divide(t, sin, out=sin)
     if mag is not None:
         out *= mag
     return out
+
+
+def _unit_phasor(z: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``z / r`` into ``out`` where ``r > 0``, ``out`` unchanged elsewhere; returns
+    that mask. With ``r = |z|`` this is z's unit phasor, from real divisions."""
+    nonzero = r > 0.0
+    np.divide(z.real, r, out=out.real, where=nonzero)
+    np.divide(z.imag, r, out=out.imag, where=nonzero)
+    return nonzero
 
 
 def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:
@@ -330,8 +353,9 @@ def compress_magnitude(spec, a: float, b: float,
                        config: StftConfig | None = None) -> Spectrogram:
     """Power-law magnitude compression ``b * |H|**a * exp(j*angle(H))``.
 
-    A preprocessing utility only: compression destroys consistency, so it is
-    never applied before residual or consistency-loss computations.
+    The phase factor is H/|H|, and 0 where H is 0. A preprocessing utility
+    only: compression destroys consistency, so it is never applied before
+    residual or consistency-loss computations.
     """
     if not (0.0 < a <= 1.0):
         raise InputError("compression exponent a must lie in (0, 1]")
@@ -339,7 +363,9 @@ def compress_magnitude(spec, a: float, b: float,
         raise InputError("compression scale b must be positive")
     data, config = _coerce_spec(spec, config)
     mag = np.abs(data)
-    out = b * mag ** a * np.exp(1j * np.angle(data))
+    out = np.zeros_like(data)
+    _unit_phasor(data, mag, out)
+    out *= b * mag ** a
     return Spectrogram(out, config)
 
 

@@ -16,7 +16,7 @@ from scipy.io import wavfile
 import specconsist as sc
 from specconsist import audio_io, cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
-from specconsist.stft import WINDOW_KINDS, signal_length, stft
+from specconsist.stft import WINDOW_KINDS, _polar, signal_length, stft
 
 from test_solvers import reference_gla_inconsistency, reference_griffin_lim
 
@@ -211,6 +211,19 @@ class TestReconstruct:
         assert (out / "out.wav").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["eval"]["aligned_snr_db"] > -300
+
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    def test_report_records_the_numpy_build(self, tmp_path, solver):
+        wav, out = tmp_path / "in.wav", tmp_path / "run"
+        make_wav(wav)
+        assert cli.main(["reconstruct", str(wav), "--solver", solver, "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS) == 0
+        report = json.loads((out / "report.json").read_text())
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        assert report["environment"] == {"numpy": np.__version__,
+                                         "simd_extensions": simd}
+        with open(out / "trace.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == list(cli.TRACE_COLUMNS)
 
     def test_gla_report_scores_the_returned_phase(self, tmp_path):
         wav = tmp_path / "in.wav"
@@ -649,7 +662,7 @@ class TestCompare:
                 recon = solvers.reconstruct_signal(mag, phase, config, length=len(signal))
                 writer.writerow([
                     str(path), loss, trace.final_loss,
-                    sc.consistency_measure(mag * np.exp(1j * phase), config),
+                    sc.consistency_measure(_polar(phase, mag), config),
                     sc.aligned_snr(signal, recon, 32)[0],
                     sc.spectral_convergence(mag, stft(recon, config).magnitude)])
         assert out.read_bytes() == want.getvalue().encode()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import specconsist as sc
 from specconsist import phase_losses as pl
-from specconsist.stft import istft, shifted_square_sum, stft
+from specconsist.stft import _polar, istft, shifted_square_sum, stft
 
 
 # The losses' formulas in the phase difference P - P', which they evaluated
@@ -24,9 +24,13 @@ def difference_complex(p, q, a, norm):
 
 
 def resynthesized_time(p, q, a, config, norm):
-    """The time loss from ``istft`` of each phase; also returns both signals."""
+    """The time loss from ``istft`` of each phase; also returns both signals.
+
+    Each spectrogram comes from the library's polar builder, so the value is
+    bitwise the loss's for a power-of-two N.
+    """
     m, n, r = p.shape[0], config.window_len, config.hop
-    y_ref, y_est = (istft(sc.Spectrogram(a * np.exp(1j * x), config),
+    y_ref, y_est = (istft(sc.Spectrogram(_polar(x, a), config),
                           length=m * r).samples for x in (p, q))
     diff = y_ref - y_est
     if norm == "L2":
@@ -36,7 +40,7 @@ def resynthesized_time(p, q, a, config, norm):
     padded = np.concatenate([np.zeros(n - r), rho])
     frames = np.lib.stride_tricks.sliding_window_view(padded, n)[::r][:m]
     u = np.fft.fft(frames * config.synthesis_window, axis=1)
-    return value, -np.imag(np.conj(u) * a * np.exp(1j * q)), y_ref, y_est
+    return value, -np.imag(np.conj(u) * _polar(q, a)), y_ref, y_est
 
 
 class TestLossCos:

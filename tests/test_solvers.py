@@ -10,7 +10,7 @@ from specconsist import phase_losses as pl
 from specconsist import consistency, solvers
 from specconsist.consistency import get_kernel, loss_ec
 from specconsist.solvers import SolverOptions, gd_reconstruct, griffin_lim
-from specconsist.stft import _sum_squares, istft, signal_length, stft
+from specconsist.stft import _polar, _sum_squares, istft, signal_length, stft
 
 # Frozen once from this implementation (two-sinusoid magnitude, defaults,
 # seed 7); guards the descent path against regressions.
@@ -26,10 +26,14 @@ def two_sine_magnitude(cfg):
 
 
 def reference_gla_projection(mag, phase, config):
-    """H = mag e^{jP} and its projection STFT(iSTFT(H)), from the public transforms."""
+    """H = mag e^{jP} and its projection STFT(iSTFT(H)), from the public transforms.
+
+    H comes from the library's polar builder, as in ``griffin_lim``, so that
+    ``final_loss`` can be compared bitwise.
+    """
     m = mag.shape[0]
     sig_len = m * config.hop - config.window_len + config.hop
-    h = mag * np.exp(1j * phase)
+    h = _polar(phase, mag)
     x = istft(sc.Spectrogram(h, config), length=sig_len)
     return h, stft(x, config).data
 
@@ -52,7 +56,7 @@ def reference_griffin_lim(mag, opts, config):
     was ever nonzero, the initial phase elsewhere.
     """
     phase = solvers._initial_phase(mag.shape, opts)
-    unit, moved = np.exp(1j * phase), np.zeros(mag.shape, bool)
+    unit, moved = _polar(phase), np.zeros(mag.shape, bool)
     sig_len = signal_length(mag.shape[0], config)
     norm_sq = float(np.sum(mag ** 2))
     trace = solvers.SolveTrace()
