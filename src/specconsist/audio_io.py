@@ -18,6 +18,9 @@ SYNTH_KINDS = {"sine": ("freq",), "multisine": ("freqs",), "chirp": ("f0", "f1")
 
 _PCM16_SCALE = 32768.0
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+# A WAV data chunk stores its size in bytes in 32 bits, and pcm16, the smaller
+# encoding, takes 2 bytes a sample: no supported file holds more samples.
+_MAX_SAMPLES = (2**32 - 1) // 2
 
 
 @dataclass
@@ -114,8 +117,12 @@ def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
     missing = [name for name in SYNTH_KINDS.get(kind, ()) if params.get(name) is None]
     if missing:
         raise InputError(f"synth {kind} requires {', '.join(missing)}")
-    if sr <= 0 or not np.isfinite(duration):
-        raise InputError("sample rate must be positive and duration finite")
+    _check_sample_rate(sr)  # its bound keeps sr * duration a float
+    if not np.isfinite(duration):
+        raise InputError("duration must be finite")
+    if sr * duration >= _MAX_SAMPLES + 0.5:  # before anything is allocated
+        raise InputError(f"{duration} s at {sr} Hz exceeds the {_MAX_SAMPLES} "
+                         "samples a WAV data chunk can hold")
     n = int(round(sr * duration))
     if n <= 0:
         raise InputError("duration too short for the sample rate")

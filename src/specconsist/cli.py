@@ -22,8 +22,9 @@ import numpy as np
 
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
-from .stft import (WINDOW_KINDS, _check_frames, _check_length, expand_half_spectrum,
-                   istft, make_config, num_frames, signal_length, stft)
+from .stft import (WINDOW_KINDS, _check_frames, _check_length, _integer,
+                   expand_half_spectrum, istft, make_config, num_frames, signal_length,
+                   stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -106,10 +107,10 @@ def _number(kind, value, name: str):
         raise InputError(f"{name} must be a number, got {value!r}") from None
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as ``solvers._integer`` takes it; a config file may spell it "12"."""
-    return solvers._integer(_number(int, value, name) if isinstance(value, str)
-                            else value, name)
+def _config_integer(value, name: str) -> int:
+    """``value`` as ``stft._integer`` takes it; a config file may spell it "12"."""
+    return _integer(_number(int, value, name) if isinstance(value, str) else value,
+                    name)
 
 
 def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
@@ -117,11 +118,11 @@ def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
     for name, default in _SOLVER_DEFAULTS.items():
         value, key = cfg["solver"][name], f"solver.{name}"
         if isinstance(default, int):
-            value = _integer(value, key)
+            value = _config_integer(value, key)
         elif isinstance(default, float):
             value = _number(float, value, key)
         fields[name] = value
-    return solvers.SolverOptions(**fields, seed=_integer(cfg["seed"], "seed"),
+    return solvers.SolverOptions(**fields, seed=_config_integer(cfg["seed"], "seed"),
                                  init_phase=init_phase)
 
 

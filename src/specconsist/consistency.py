@@ -36,8 +36,8 @@ array: its own rows plus a halo of ``Q-1`` frames on each side. Its own rows of
 ``e`` come out bit for bit as in the full evaluation (each output block adds
 the same frames in the same order); the halo rows, which lack their outer
 neighbours, are dropped. So the blocked loss is the full ``N * ||e||^2`` with
-only the float additions regrouped. ``residual`` and ``_apply`` stay the
-definition of C that the tests check it against.
+only the float additions regrouped. ``residual`` stays the definition of C
+that the tests check it against; the tests keep its window-swapped adjoint.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InputError
 from .stft import (StftConfig, _add_blocks, _analyze_frames, _check_frames,
-                   _coerce_spec, _frames, _overlap_add, _polar, _sum_squares)
+                   _coerce_spec, _frames, _polar, _sum_squares, overlap_add)
 
 # Output frames per block of the blocked loss. At 512 bins a block of 64
 # frames and its halo fill 0.57 MB per complex array, so one block's few arrays
@@ -63,20 +63,11 @@ def get_kernel(config: StftConfig) -> StftConfig:
     return config
 
 
-def _apply(h: np.ndarray, config: StftConfig, analysis: np.ndarray,
-           synthesis: np.ndarray) -> np.ndarray:
-    """Overlap-add with ``synthesis``, re-analyze with ``analysis``, subtract.
-
-    With (W, S) this is the residual operator C; with (S, W) it is its adjoint.
-    """
-    y = _overlap_add(h, config, synthesis)
-    return _analyze_frames(y, config, h.shape[0], analysis) - h
-
-
 def residual(spec, config: StftConfig) -> np.ndarray:
-    """Per-bin consistency residual; zero everywhere iff ``spec`` is a true STFT."""
-    return _apply(_coerce_spec(spec, config)[0], config,
-                  config.analysis_window, config.synthesis_window)
+    """Per-bin consistency residual ``project(H) - H``; zero everywhere iff
+    ``spec`` is a true STFT."""
+    data = _coerce_spec(spec, config)[0]
+    return _analyze_frames(overlap_add(data, config), config, data.shape[0]) - data
 
 
 def loss_ec(spec, config: StftConfig) -> float:

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import _Workspace
 from .errors import InputError
-from .stft import StftConfig, _analyze_frames, _check_frames, _pad_signal, _polar
+from .stft import (StftConfig, _analyze_frames, _check_frames, _pad_signal, _polar,
+                   overlap_add)
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,10 +143,10 @@ def time_value_and_grad(p, p_est, mag, config, norm="L2"):
 def _time_loss(t, mag, config, norm):
     """``step(p_est, unit, ws)``: the time loss against the signal of ``(mag, t)``.
 
-    Signals are the overlap-adds that ``_Workspace.loss`` leaves in ``ws.y``,
-    so in a solver the estimate's is the one its consistency measure has just
-    made from ``ws.h`` = mag e^{j p_est}; the target's is made here once. With
-    ``ws`` None the step makes the estimate's in its own workspace.
+    Signals are ``overlap_add`` of mag e^{jP}, bitwise what ``_Workspace.loss``
+    leaves in ``ws.y``: in a solver the estimate's is the one its measure has
+    just made from ``ws.h`` = mag e^{j p_est}. The target's is made here once;
+    with ``ws`` None the step makes the estimate's.
     """
     if not isinstance(config, StftConfig):
         raise InputError("the time losses need the StftConfig of the phases")
@@ -155,17 +155,12 @@ def _time_loss(t, mag, config, norm):
     t = np.asarray(t, dtype=np.float64)
     m = _check_frames(t, config, "phase").shape[0]
     start = config.window_len - config.hop  # the padding ``stft`` puts first
-
-    def measured(phase):
-        ws = _Workspace(mag.shape, config)
-        ws.loss(_polar(phase, mag, ws.h))
-        return ws
-
-    y_ref = measured(t).y.ravel().real[start:].copy()
+    y_ref = overlap_add(_polar(t, mag), config).real[start:].copy()
 
     def step(p_est, unit=None, ws=None):
-        ws = measured(p_est) if ws is None else ws
-        diff = y_ref - ws.y.ravel().real[start:]
+        h = _polar(p_est, mag) if ws is None else ws.h
+        y = overlap_add(h, config) if ws is None else ws.y.ravel()
+        diff = y_ref - y.real[start:]
         if norm == "L2":
             value, rho = float(np.sum(diff ** 2)), -2.0 * diff
         else:
@@ -174,8 +169,7 @@ def _time_loss(t, mag, config, norm):
         # and analyze with the synthesis window at the same m frame positions.
         u = _analyze_frames(_pad_signal(rho, config)[0], config, m,
                             window=config.synthesis_window)
-        h = ws.h  # the gradient is -Im(conj(u) * h)
-        return value, u.imag * h.real - u.real * h.imag
+        return value, u.imag * h.real - u.real * h.imag  # -Im(conj(u) * h)
 
     return step
 

@@ -15,8 +15,8 @@ import numpy as np
 from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad
 from .errors import DivergenceError, InputError
-from .stft import (Signal, Spectrogram, StftConfig, _add_blocks, _check_frames,
-                   _polar, _sum_squares, _unit_phasor, istft, signal_length)
+from .stft import (Signal, Spectrogram, StftConfig, _check_frames, _integer, _polar,
+                   _sum_squares, _unit_phasor, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -53,16 +53,6 @@ class SolverOptions:
             raise InputError(f"unknown init {self.init!r}")
         if self.parameterization not in PARAMETERIZATIONS:
             raise InputError(f"unknown parameterization {self.parameterization!r}")
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is an integral number and not a bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        if isinstance(value, (float, np.floating)) and float(value).is_integer():
-            return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -213,18 +203,12 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
 def _project(ws: _Workspace, h, sig_len: int):
     """``(loss_ec(H), Z, ||H - Z||^2)`` for H = ``h`` and Z = STFT(iSTFT(H)).
 
-    With u = ifft(H), y = OLA(N*S*u) is ``overlap_add(H)``: ``loss_ec(H)`` is
-    N * ||W*frame(y) - u||^2, and Z re-analyzes the ``sig_len`` samples that
-    ``istft`` keeps of y's real part, zero-padded where ``stft`` pads them.
+    ``ws.loss(H)`` leaves ``overlap_add(H)`` in ``ws.y``, bit for bit; Z
+    re-analyzes the ``sig_len`` samples that ``istft`` keeps of its real part,
+    zero-padded where ``stft`` pads them.
     """
-    config, n = ws.config, ws.config.window_len
-    u = np.fft.ifft(h, axis=1)
-    frames = np.multiply(u, n, out=ws.e)
-    frames *= config.synthesis_window  # istft's order, so out.wav keeps its bits
-    y = _add_blocks(frames, config, ws.y)
-    e = np.multiply(ws.framed, config.analysis_window, out=ws.e)
-    loss = n * _sum_squares(np.subtract(e, u, out=e))
-    start = n - config.hop
+    loss, config, y = ws.loss(h)[0], ws.config, ws.y.ravel()
+    start = config.window_len - config.hop
     y.real[:start] = 0.0
     y.real[start + sig_len:] = 0.0
     z = np.fft.fft(ws.framed.real * config.analysis_window, axis=1)

@@ -219,6 +219,16 @@ def _check_frames(data: np.ndarray, config: StftConfig, what: str) -> np.ndarray
     return data
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integral number and not a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def _sum_squares(x: np.ndarray) -> float:
     """Sum of ``|x|**2`` over every element, the same bits at any thread count.
 
@@ -288,15 +298,12 @@ def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:
 
     Returns the complex padded-domain signal of length ``(M-1)*R + N``,
     including the ``N - R`` start-padding region. This is the inverse used in
-    consistency analysis; ``istft`` wraps it for audio use.
+    consistency analysis; ``istft`` wraps it for audio use. Each inverse DFT is
+    scaled by N*S in one pass, as in ``_Workspace.loss``, so both agree bitwise.
     """
     data, config = _coerce_spec(spec, config)
-    return _overlap_add(data, config, config.synthesis_window)
-
-
-def _overlap_add(data: np.ndarray, config: StftConfig,
-                 window: np.ndarray) -> np.ndarray:
-    frames = np.fft.ifft(data, axis=1) * config.window_len * window
+    frames = np.fft.ifft(data, axis=1)
+    frames *= config.window_len * config.synthesis_window
     m, q = data.shape[0], config.overlap_factor
     return _add_blocks(frames, config, np.empty((m + q - 1, config.hop), complex))
 
@@ -332,6 +339,7 @@ def istft(spec, config: StftConfig | None = None, length: int | None = None,
 
 def _check_length(length: int, frames: int, config: StftConfig) -> int:
     """``length`` if ``istft`` can return that many samples from ``frames`` frames."""
+    length = _integer(length, "length")
     full = frames * config.hop
     if length < 0 or length > full:
         raise InputError(f"length must be in [0, {full}] for {frames} frames")
@@ -359,13 +367,17 @@ def compress_magnitude(spec, a: float, b: float,
     """
     if not (0.0 < a <= 1.0):
         raise InputError("compression exponent a must lie in (0, 1]")
-    if b <= 0.0:
-        raise InputError("compression scale b must be positive")
+    if not 0.0 < b < np.inf:
+        raise InputError("compression scale b must be positive and finite")
     data, config = _coerce_spec(spec, config)
-    mag = np.abs(data)
+    with np.errstate(over="ignore"):
+        mag = np.abs(data)
+        scaled = b * mag ** a
+    if not np.all(np.isfinite(scaled)):
+        raise InputError("the compressed magnitude b * |H|**a overflows")
     out = np.zeros_like(data)
     _unit_phasor(data, mag, out)
-    out *= b * mag ** a
+    out *= scaled
     return Spectrogram(out, config)
 
 

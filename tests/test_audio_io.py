@@ -166,3 +166,15 @@ class TestSynth:
     def test_missing_parameter_or_non_finite_duration(self, kind, params, duration):
         with pytest.raises(sc.InputError):
             synth(kind, params, 8000, duration)
+
+    # Each count is past the limit, so it fails before anything is allocated.
+    @pytest.mark.parametrize("sr, duration", [(16000, 1e12), (16000, 1e308),
+                                              (1, 2.0**31), (2, 2.0**30)])
+    def test_more_samples_than_a_wav_file_holds(self, sr, duration):
+        with pytest.raises(sc.InputError, match="2147483647 samples"):
+            synth("impulse", {}, sr, duration)
+
+    @pytest.mark.parametrize("sr", [0, -8000, 2**30, 10**400])
+    def test_rate_outside_the_header_rejected(self, sr):
+        with pytest.raises(sc.InputError, match="does not fit a WAV header"):
+            synth("impulse", {}, sr, 1e-6)

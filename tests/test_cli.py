@@ -709,6 +709,7 @@ class TestSynthCommand:
         ["noise", "--duration", "nan"], ["noise", "--duration", "inf"],
         ["sine", "--freq", "440", "--duration=-inf"],
         ["noise", "--seed=-1"], ["noise", "--amp", "inf"], ["noise", "--amp", "nan"],
+        ["impulse", "--duration", "1e12"],
     ])
     def test_bad_parameters_are_input_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "x.wav"

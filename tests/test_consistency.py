@@ -4,15 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist.consistency import (_BLOCK, _apply, _Workspace, ec_loss_and_grad,
-                                     get_kernel)
-from specconsist.stft import WINDOW_KINDS, _sum_squares, project, stft
+from specconsist.consistency import _BLOCK, _Workspace, ec_loss_and_grad, get_kernel
+from specconsist.stft import WINDOW_KINDS, _sum_squares, overlap_add, project, stft
 
 from conftest import random_spectrogram
 
 # Frozen once from this implementation (sine 440 Hz / 0.8 amp at 8 kHz,
 # config 256/64 hann, phase seed 12345); guards against regressions.
 PINNED_SINE_RANDOM_PHASE_LOSS = 176564.9672678542
+
+
+def _apply(h, config, analysis, synthesis):
+    """Overlap-add with ``synthesis``, re-analyze with ``analysis``, subtract.
+
+    With (W, S) this is the residual operator C; with (S, W) it is its adjoint.
+    Frames are added one by one, apart from the library's overlap-add, so this
+    is the oracle of ``residual`` and of the Parseval loss and gradient.
+    """
+    (m, n), r = h.shape, config.hop
+    frames = np.fft.ifft(h, axis=1) * n * synthesis
+    y = np.zeros((m - 1) * r + n, dtype=np.complex128)
+    for i, frame in enumerate(frames):
+        y[i * r : i * r + n] += frame
+    windowed = np.stack([y[i * r : i * r + n] for i in range(m)]) * analysis
+    return np.fft.fft(windowed, axis=1) - h
 
 
 def alpha_table(config):
@@ -97,6 +112,21 @@ class TestComputeKernel:
             oracle = project(h, cfg_rect_4).data - h
             assert np.abs(r - oracle).max() <= 1e-12 * max(np.abs(h).max(), 1.0)
             assert np.abs(r).max() < 1e-12 * np.abs(h).max()
+
+
+class TestOneScaling:
+    """Every overlap-add scales the inverse DFT by N*S once, so the forms agree
+    bitwise, also where N is not a power of two and N*S rounds."""
+
+    @pytest.mark.parametrize("size", [(48, 12), (64, 16), (512, 128)])
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_overlap_add_residual_and_workspace_agree(self, rng, size, m):
+        cfg = sc.make_config(*size)
+        h = random_spectrogram(rng, m, cfg.window_len)
+        ws = _Workspace(h.shape, cfg)
+        ws.loss(h)
+        np.testing.assert_array_equal(overlap_add(h, cfg), ws.y.ravel())
+        np.testing.assert_array_equal(sc.residual(h, cfg), project(h, cfg).data - h)
 
 
 class TestResidual:

@@ -207,8 +207,8 @@ class TestGriffinLim:
     @given(data=st.data())
     def test_matches_the_three_transform_oracle(self, data):
         draw = data.draw
-        # At N = 48 the scaling by N is inexact, so only istft's operation
-        # order keeps the projection bitwise.
+        # At N = 48 the scaling by N*S rounds; istft and the solver scale in
+        # one pass, in the same order, so the projection stays bitwise.
         n, r, kind = draw(st.sampled_from([(16, 4, "rectangular"), (64, 16, "hann"),
                                            (48, 12, "hann"), (512, 128, "hann")]))
         config = sc.make_config(n, r, kind)

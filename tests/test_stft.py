@@ -184,6 +184,23 @@ class TestIstft:
         with pytest.raises(InputError):
             istft(spec, cfg_256_64)
 
+    @pytest.mark.parametrize("length", [100.0, np.float64(100.0), np.int64(100), 100])
+    def test_integral_lengths_of_any_number_type(self, cfg_64_16, rng, length):
+        spec = stft(rng.standard_normal(300), cfg_64_16)
+        y = istft(spec, length=length)
+        assert len(y) == 100
+        np.testing.assert_array_equal(y.samples, istft(spec, length=100).samples)
+
+    @pytest.mark.parametrize("length", [50.5, np.float64(0.5), True, np.bool_(True),
+                                        "100", float("nan"), float("inf")])
+    def test_non_integer_lengths_are_input_errors(self, cfg_64_16, length):
+        spec = stft(np.ones(300), cfg_64_16)
+        with pytest.raises(InputError, match="length must be an integer"):
+            istft(spec, length=length)
+        with pytest.raises(InputError, match="length must be an integer"):
+            specconsist.reconstruct_signal(spec.magnitude, spec.phase, cfg_64_16,
+                                           length=length)
+
     @pytest.mark.parametrize("m", [1, 3, 4, 9])
     def test_overlap_add_bitwise_equals_frame_loop(self, cfg_64_16, cfg_rect_4,
                                                    rng, m):
@@ -252,6 +269,13 @@ class TestCompressMagnitude:
             compress_magnitude(spec, a=0.0, b=1.0)
         with pytest.raises(InputError):
             compress_magnitude(spec, a=0.5, b=-1.0)
+
+    @pytest.mark.parametrize("b", [np.inf, np.nan, 1e308])
+    def test_non_finite_or_overflowing_scale_is_an_input_error(self, cfg_rect_4, b):
+        # the suite turns warnings into errors, so none may escape first
+        spec = Spectrogram(np.full((1, 4), 1e4 + 0j), cfg_rect_4)
+        with pytest.raises(InputError, match="compress"):
+            compress_magnitude(spec, a=0.5, b=b)
 
 
 class TestHalfSpectrum:
