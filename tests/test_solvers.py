@@ -53,29 +53,34 @@ def reference_griffin_lim(mag, opts, config):
     Each iteration projects H = mag * c with ``istft`` and ``stft``, scores the
     trace's measure with a separate ``loss_ec``, and carries the unit phasor
     c = Z/|Z|, the previous c where Z = 0. The phase is the angle of c where Z
-    was ever nonzero, the initial phase elsewhere.
+    was ever nonzero, the initial phase elsewhere. A non-finite inconsistency
+    raises DivergenceError with the records so far.
     """
     phase = solvers._initial_phase(mag.shape, opts)
     unit, moved = _polar(phase), np.zeros(mag.shape, bool)
     sig_len = signal_length(mag.shape[0], config)
-    norm_sq = float(np.sum(mag ** 2))
     trace = solvers.SolveTrace()
     prev = None
-    for k in range(opts.max_iters):
-        h = mag * unit
-        z = stft(istft(sc.Spectrogram(h, config), length=sig_len), config).data
-        inconsistency = _sum_squares(h - z)
-        measure = solvers._normalized(loss_ec(h, config), norm_sq)
-        trace.records.append(solvers.TraceRecord(k, inconsistency, measure, 0.0))
-        r = np.abs(z)
-        nz = r > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normalized = np.empty_like(z)
-            normalized.real, normalized.imag = z.real / r, z.imag / r
-        unit, moved = np.where(nz, normalized, unit), moved | nz
-        if prev is not None and opts.tolerance > 0 and (prev - inconsistency) < opts.tolerance:
-            break
-        prev = inconsistency
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm_sq = float(np.sum(mag ** 2))
+        for k in range(opts.max_iters):
+            h = mag * unit
+            z = stft(istft(sc.Spectrogram(h, config), length=sig_len), config).data
+            inconsistency = _sum_squares(h - z)
+            measure = solvers._normalized(loss_ec(h, config), norm_sq)
+            trace.records.append(solvers.TraceRecord(k, inconsistency, measure, 0.0))
+            if not np.isfinite(inconsistency):
+                raise sc.DivergenceError(
+                    f"inconsistency became non-finite at iteration {k}", trace=trace)
+            r = np.abs(z)
+            nz = r > 0.0
+            with np.errstate(divide="ignore"):
+                normalized = np.empty_like(z)
+                normalized.real, normalized.imag = z.real / r, z.imag / r
+            unit, moved = np.where(nz, normalized, unit), moved | nz
+            if prev is not None and opts.tolerance > 0 and (prev - inconsistency) < opts.tolerance:
+                break
+            prev = inconsistency
     phase = np.where(moved, np.angle(unit), phase)
     trace.best_iteration = len(trace.records) - 1
     trace.final_loss = reference_gla_inconsistency(mag, phase, config)
@@ -97,8 +102,10 @@ def reference_griffin_lim_by_angle(mag, opts, config):
     return phase, np.array(losses), reference_gla_inconsistency(mag, phase, config)
 
 
-# Every loss but ``ec`` through its public value-and-gradient function.
+# Every loss through its public value-and-gradient function; ``ec`` takes no
+# target and builds a fresh workspace per call.
 PUBLIC_LOSSES = {
+    "ec": lambda t, p, mag, cfg: consistency.ec_loss_and_grad(mag, p, cfg),
     "cos": lambda t, p, mag, cfg: pl.cos_value_and_grad(t, p),
     "aw": lambda t, p, mag, cfg: pl.aw_value_and_grad(t, p),
     "comp_l1": lambda t, p, mag, cfg: pl.complex_value_and_grad(t, p, mag, "L1"),
@@ -111,11 +118,13 @@ PUBLIC_LOSSES = {
 
 
 def reference_gd_reconstruct(mag, loss, target, opts, config):
-    """Gradient descent on a loss other than ``ec``, as the oracle of ``gd_reconstruct``.
+    """Gradient descent on any loss, as the oracle of ``gd_reconstruct``.
 
     Each iteration calls the loss's public function, which builds its own
-    ``mag * exp(1j * phase)`` (a time loss also resynthesizes its target), and
-    scores the trace's measure with ``loss_ec`` of another such array.
+    ``mag * exp(1j * phase)`` (a time loss also resynthesizes its target). The
+    trace's measure is the normalized ``ec`` value itself for ``ec``, and
+    ``loss_ec`` of another such array for every other loss. A non-finite loss
+    raises DivergenceError with the records so far.
     """
     phase = solvers._initial_phase(mag.shape, opts)
     use_c1c2 = opts.parameterization == "c1_c2"
@@ -123,29 +132,66 @@ def reference_gd_reconstruct(mag, loss, target, opts, config):
         c1, c2 = np.sin(phase), np.cos(phase)
     trace = solvers.SolveTrace()
     best_loss, best_phase, prev = np.inf, phase.copy(), None
-    norm_sq = float(np.sum(mag ** 2))
-    for k in range(opts.max_iters):
-        if use_c1c2:
-            phase = np.arctan2(c1, c2)
-        value, grad = PUBLIC_LOSSES[loss](target, phase, mag, config)
-        measure = solvers._normalized(loss_ec(mag * np.exp(1j * phase), config), norm_sq)
-        step = solvers._step_size(k, opts, mag.max() ** 2)
-        trace.records.append(solvers.TraceRecord(k, value, measure, step))
-        if value < best_loss:
-            best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
-        if use_c1c2:
-            r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
-            g1 = grad * c2 / r_sq
-            g2 = -grad * c1 / r_sq
-            c1 = c1 - step * g1
-            c2 = c2 - step * g2
-        else:
-            phase = phase - step * grad
-        if prev is not None and opts.tolerance > 0 and (prev - value) < opts.tolerance:
-            break
-        prev = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm_sq = float(np.sum(mag ** 2))
+        for k in range(opts.max_iters):
+            if use_c1c2:
+                phase = np.arctan2(c1, c2)
+            value, grad = PUBLIC_LOSSES[loss](target, phase, mag, config)
+            ec = value if loss == "ec" else loss_ec(mag * np.exp(1j * phase), config)
+            measure = solvers._normalized(ec, norm_sq)
+            step = solvers._step_size(k, opts, mag.max() ** 2)
+            trace.records.append(solvers.TraceRecord(k, value, measure, step))
+            if not np.isfinite(value):
+                raise sc.DivergenceError(
+                    f"loss {loss!r} became non-finite at iteration {k}", trace=trace)
+            if value < best_loss:
+                best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
+            if use_c1c2:
+                r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
+                g1 = grad * c2 / r_sq
+                g2 = -grad * c1 / r_sq
+                c1 = c1 - step * g1
+                c2 = c2 - step * g2
+            else:
+                phase = phase - step * grad
+            if prev is not None and opts.tolerance > 0 and (prev - value) < opts.tolerance:
+                break
+            prev = value
     trace.final_loss = best_loss
     return best_phase, trace
+
+
+def run_both(solve, oracle):
+    """Both runs' ``(phase, trace, message)``; a divergence gives ``(None, trace, message)``."""
+    runs = []
+    for run in (solve, oracle):
+        try:
+            runs.append((*run(), None))
+        except sc.DivergenceError as exc:
+            runs.append((None, exc.trace, str(exc)))
+    return runs
+
+
+def assert_same_run(got, want):
+    """Equal phases, losses, steps, best iterations, final losses and messages.
+
+    The measures agree to 1e-15 relative; a diverging run's are NaN at the last
+    record in both.
+    """
+    (phase, trace, message), (want_phase, want, want_message) = got, want
+    assert message == want_message
+    if message is None:
+        np.testing.assert_array_equal(phase, want_phase)
+    else:
+        assert phase is None and want_phase is None
+    np.testing.assert_array_equal(trace.losses, want.losses)
+    np.testing.assert_array_equal([r.step_size for r in trace.records],
+                                  [r.step_size for r in want.records])
+    assert trace.best_iteration == want.best_iteration
+    assert trace.final_loss == want.final_loss
+    np.testing.assert_allclose(trace.consistency_measures, want.consistency_measures,
+                               rtol=1e-15, atol=0)
 
 
 class TestGriffinLim:
@@ -216,20 +262,15 @@ class TestGriffinLim:
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         mag = stft(rng.standard_normal(signal_length(m, config)), config).magnitude
         mag[rng.random(mag.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = 0.0
+        mag *= draw(st.sampled_from([1.0, 1.0, 1e154]))  # 1e154: ||H||^2 overflows
         init = draw(st.sampled_from(["zeros", "random_uniform", "provided"]))
         opts = SolverOptions(
             max_iters=draw(st.integers(1, 6)), init=init, seed=draw(st.integers(0, 9)),
             tolerance=draw(st.sampled_from([0.0, 1e-3, 1.0])),
             init_phase=rng.uniform(-np.pi, np.pi, mag.shape) if init == "provided"
             else None)
-        phase, trace = griffin_lim(mag, opts, config)
-        want_phase, want = reference_griffin_lim(mag, opts, config)
-        np.testing.assert_array_equal(phase, want_phase)
-        np.testing.assert_array_equal(trace.losses, want.losses)
-        assert trace.best_iteration == want.best_iteration
-        assert trace.final_loss == want.final_loss
-        np.testing.assert_allclose(trace.consistency_measures, want.consistency_measures,
-                                   rtol=1e-15, atol=0)
+        assert_same_run(*run_both(lambda: griffin_lim(mag, opts, config),
+                                  lambda: reference_griffin_lim(mag, opts, config)))
 
     @pytest.mark.parametrize("kind, params", [
         ("sine", {"freq": 440.0, "amp": 0.6}),
@@ -385,26 +426,22 @@ class TestGdReconstruct:
         mag[rng.random(mag.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = 0.0
         target = rng.uniform(-np.pi, np.pi, mag.shape)
         loss = draw(st.sampled_from(sorted(PUBLIC_LOSSES)))
-        step = draw(st.sampled_from([1e-3, 0.05]))
+        if loss == "ec":
+            target = None
+        step = draw(st.sampled_from([1e-3, 0.05, np.inf]))  # inf: the iterate diverges
         opts = SolverOptions(
             max_iters=draw(st.integers(1, 6)), seed=draw(st.integers(0, 9)),
             step_rule=draw(st.sampled_from(solvers.STEP_RULES)), initial_step=step,
             init=draw(st.sampled_from(["zeros", "random_uniform"])),
             parameterization=draw(st.sampled_from(solvers.PARAMETERIZATIONS)),
             tolerance=draw(st.sampled_from([0.0, 1e-3, 1.0])))
-        if opts.step_rule == "relative" and not mag.any():
+        if opts.step_rule == "relative" and not (mag.any() and step < np.inf):
             with pytest.raises(sc.InputError):
                 gd_reconstruct(mag, loss, target, opts, config)
             return
-        phase, trace = gd_reconstruct(mag, loss, target, opts, config)
-        want_phase, want = reference_gd_reconstruct(mag, loss, target, opts, config)
-        np.testing.assert_array_equal(phase, want_phase)
-        np.testing.assert_array_equal(trace.losses, want.losses)
-        assert [r.step_size for r in trace.records] == [r.step_size for r in want.records]
-        assert trace.best_iteration == want.best_iteration
-        assert trace.final_loss == want.final_loss
-        np.testing.assert_allclose(trace.consistency_measures, want.consistency_measures,
-                                   rtol=1e-15, atol=0)
+        assert_same_run(*run_both(
+            lambda: gd_reconstruct(mag, loss, target, opts, config),
+            lambda: reference_gd_reconstruct(mag, loss, target, opts, config)))
 
     @pytest.mark.parametrize("loss", ["time_l1", "time_l2"])
     def test_time_loss_synthesizes_its_target_once(self, cfg_64_16, rng, monkeypatch,
