@@ -9,6 +9,7 @@ given options and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -149,6 +150,32 @@ def _normalized(loss: float, norm_sq: float) -> float:
     return float(np.sqrt(loss / norm_sq))
 
 
+def _solve(mag, opts: SolverOptions, what: str, steps, finish):
+    """The loop of both solvers: ``(phase, trace)`` for the records of ``steps(trace)``.
+
+    ``steps`` yields each iterate's (loss, ``loss_ec``, step size); record k holds
+    the loss, ``_normalized(loss_ec)`` and the step. A run stops after
+    ``max_iters`` records, or after the first iteration whose loss fell by less
+    than ``tolerance`` (0 disables the rule). A non-finite loss raises
+    DivergenceError carrying the records so far. Then ``finish(trace)`` gives the
+    phase and ``final_loss``. numpy's overflow and invalid-value warnings are off
+    throughout, so none pre-empts the divergence.
+    """
+    trace, prev = SolveTrace(), None
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm_sq = float(np.sum(mag ** 2))
+        for k, (loss, ec, step) in zip(range(opts.max_iters), steps(trace)):
+            trace.records.append(TraceRecord(k, loss, _normalized(ec, norm_sq), step))
+            if not np.isfinite(loss):
+                raise DivergenceError(f"{what} became non-finite at iteration {k}",
+                                      trace=trace)
+            if prev is not None and opts.tolerance > 0 and (prev - loss) < opts.tolerance:
+                break
+            prev = loss
+        phase, trace.final_loss = finish(trace)
+    return phase, trace
+
+
 def griffin_lim(mag, opts: SolverOptions, config: StftConfig
                 ) -> tuple[np.ndarray, SolveTrace]:
     """Alternating projection between the magnitude set and true STFTs.
@@ -157,16 +184,14 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     its phase. The signal length is chosen so that every sample is covered by
     the full window overlap, which makes the signal update an exact
     least-squares step; the inconsistency ``||A e^{jP} - STFT(iSTFT(A e^{jP}))||^2``
-    is then non-increasing at every iteration.
+    is then non-increasing at every iteration. It is the loss that ``_solve`` runs on.
 
     An iteration takes one inverse and one forward FFT per frame: the
     overlap-add that resynthesizes the signal also gives the trace's measure,
     ``loss_ec`` by Parseval (see ``_project``). The iterate is carried as its
     unit phasor, Z/|Z| wherever the projection Z is nonzero and the previous one
     elsewhere, so no angle, cos or sin is taken inside the loop; the returned
-    phase is its angle, and the initial phase where Z was always zero. A
-    non-finite inconsistency raises DivergenceError carrying the partial trace,
-    as in ``gd_reconstruct``.
+    phase is its angle, and the initial phase where Z was always zero.
     """
     opts.validate()
     mag = _check_magnitude(mag, config)
@@ -176,28 +201,19 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     unit = _polar(phase)
     moved = np.zeros(mag.shape, bool)
 
-    trace = SolveTrace()
-    prev = None
-    with np.errstate(invalid="ignore", over="ignore"):
-        norm_sq = float(np.sum(mag ** 2))
-        for k in range(opts.max_iters):
+    def steps(trace):
+        while True:
             h = np.multiply(unit, mag, out=workspace.h)
             loss, z, inconsistency = _project(workspace, h, sig_len)
-            trace.records.append(
-                TraceRecord(k, inconsistency, _normalized(loss, norm_sq), 0.0))
-            if not np.isfinite(inconsistency):
-                raise DivergenceError(
-                    f"inconsistency became non-finite at iteration {k}", trace=trace)
-            moved |= _unit_phasor(z, np.abs(z), unit)
-            if (prev is not None and opts.tolerance > 0
-                    and (prev - inconsistency) < opts.tolerance):
-                break
-            prev = inconsistency
-        phase = np.where(moved, np.angle(unit), phase)
+            np.logical_or(moved, _unit_phasor(z, np.abs(z), unit), out=moved)
+            yield inconsistency, loss, 0.0
+
+    def finish(trace):
         trace.best_iteration = len(trace.records) - 1
-        h = _polar(phase, mag, workspace.h)
-        trace.final_loss = _project(workspace, h, sig_len)[2]
-    return phase, trace
+        out = np.where(moved, np.angle(unit), phase)
+        return out, _project(workspace, _polar(out, mag, workspace.h), sig_len)[2]
+
+    return _solve(mag, opts, "inconsistency", steps, finish)
 
 
 def _project(ws: _Workspace, h, sig_len: int):
@@ -220,14 +236,13 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     """Gradient descent on the chosen loss over the selected parameterization.
 
     The consistency loss ``ec`` forbids a target phase (it measures only
-    magnitude-phase consistency); every other loss requires one. Returns the
-    lowest-loss iterate. A non-finite loss raises DivergenceError carrying the
-    partial trace; numpy's overflow and invalid-value warnings never pre-empt it.
-    Each iteration builds H = mag e^{jP} once; any loss's measure is ``loss_ec(H)``
-    by Parseval. Any other loss builds the unit phasor e^{jP} once, H = mag e^{jP}
-    from it, and reads both: a target loss forms cos and sin of the phase error
-    from the phasors, and a time loss takes the estimate's signal from the
-    measure's overlap-add.
+    magnitude-phase consistency); every other loss requires one. ``_solve`` runs
+    the loop; this returns the lowest-loss iterate. Each iteration builds
+    H = mag e^{jP} once; any loss's measure is ``loss_ec(H)`` by Parseval. Any
+    other loss builds the unit phasor e^{jP} once, H = mag e^{jP} from it, and
+    reads both: a target loss forms cos and sin of the phase error from the
+    phasors, and a time loss takes the estimate's signal from the measure's
+    overlap-add.
     """
     opts.validate()
     if loss not in LOSSES:
@@ -242,22 +257,19 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
         target_phase = _check_phase(target_phase, mag.shape, "target phase")
 
     phase = _initial_phase(mag.shape, opts)
-    use_c1c2 = opts.parameterization == "c1_c2"
-    if use_c1c2:
-        c1, c2 = np.sin(phase), np.cos(phase)
-
     if loss != "ec":  # bound before the workspace exists, so their peaks never add
         loss_step = phase_losses.LOSSES[loss][0](target_phase, mag, config)
         unit = np.empty(mag.shape, complex)
     workspace = _Workspace(mag.shape, config)
-    trace = SolveTrace()
-    best_loss = np.inf
-    best_phase = phase.copy()
-    prev = None
-    with np.errstate(invalid="ignore", over="ignore"):
-        norm_sq = float(np.sum(mag ** 2))
+    best_loss, best_phase = np.inf, phase.copy()
+
+    def steps(trace):
+        nonlocal phase, best_loss, best_phase
         peak_sq = _peak_square(mag, opts)
-        for k in range(opts.max_iters):
+        use_c1c2 = opts.parameterization == "c1_c2"
+        if use_c1c2:
+            c1, c2 = np.sin(phase), np.cos(phase)
+        for k in count():
             if use_c1c2:
                 phase = np.arctan2(c1, c2)
             if loss == "ec":
@@ -267,30 +279,17 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
                 _polar(phase, out=unit)
                 ec = workspace.loss(np.multiply(unit, mag, out=workspace.h))[0]
                 value, grad = loss_step(phase, unit, workspace)
-            measure = _normalized(ec, norm_sq)
             step = _step_size(k, opts, peak_sq)
-            trace.records.append(TraceRecord(k, value, measure, step))
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"loss {loss!r} became non-finite at iteration {k}", trace=trace)
-            if value < best_loss:
-                best_loss = value
-                best_phase = phase.copy()
-                trace.best_iteration = k
+            if value < best_loss:  # false for NaN and +inf; no loss is -inf
+                best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
+            yield value, ec, step
             if use_c1c2:
                 r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
-                g1 = grad * c2 / r_sq
-                g2 = -grad * c1 / r_sq
-                c1 = c1 - step * g1
-                c2 = c2 - step * g2
+                c1, c2 = c1 - step * (grad * c2 / r_sq), c2 - step * (-grad * c1 / r_sq)
             else:
                 phase = phase - step * grad
-            if prev is not None and opts.tolerance > 0 and (prev - value) < opts.tolerance:
-                break
-            prev = value
 
-    trace.final_loss = best_loss
-    return best_phase, trace
+    return _solve(mag, opts, f"loss {loss!r}", steps, lambda trace: (best_phase, best_loss))
 
 
 def reconstruct_signal(mag, phase, config: StftConfig, length: int | None = None,
