@@ -80,13 +80,15 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
         resolved = _deep_merge(resolved, file_cfg)
     if overrides:
         resolved = _deep_merge(resolved, overrides)
-    # Fail early on anything the modules would reject.
-    for section in ("stft", "solver", "metrics", "io"):
-        if not isinstance(resolved[section], dict):
-            raise InputError(f"config section {section!r} must be a JSON object")
-    unknown = set(resolved["stft"]) - set(DEFAULT_CONFIG["stft"])
+    # Fail early on anything the modules would reject, unknown keys first.
+    unknown = set(resolved) - set(DEFAULT_CONFIG)
+    for section, keys in DEFAULT_CONFIG.items():
+        if isinstance(keys, dict):
+            if not isinstance(resolved[section], dict):
+                raise InputError(f"config section {section!r} must be a JSON object")
+            unknown |= {f"{section}.{key}" for key in set(resolved[section]) - set(keys)}
     if unknown:
-        raise InputError(f"unknown stft config keys {sorted(unknown)}")
+        raise InputError(f"unknown config keys {sorted(unknown)}")
     make_config(**resolved["stft"])
     _solver_options(resolved).validate()
     if resolved["loss"] not in solvers.LOSSES:

@@ -167,8 +167,7 @@ def _solve(mag, opts: SolverOptions, what: str, steps, finish):
         for k, (loss, ec, step) in zip(range(opts.max_iters), steps(trace)):
             trace.records.append(TraceRecord(k, loss, _normalized(ec, norm_sq), step))
             if not np.isfinite(loss):
-                raise DivergenceError(f"{what} became non-finite at iteration {k}",
-                                      trace=trace)
+                raise DivergenceError(f"{what} became non-finite at iteration {k}", trace)
             if prev is not None and opts.tolerance > 0 and (prev - loss) < opts.tolerance:
                 break
             prev = loss

@@ -101,7 +101,7 @@ def _window(kind: str, window_len: int) -> np.ndarray:
     raise ConfigError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
 
 
-def shifted_square_sum(window: np.ndarray, hop: int) -> np.ndarray:
+def _shifted_square_sum(window: np.ndarray, hop: int) -> np.ndarray:
     """R-periodic sum of squared window shifts, tiled back to window length."""
     q = window.size // hop
     per_offset = (window ** 2).reshape(q, hop).sum(axis=0)
@@ -126,7 +126,7 @@ def make_config(window_len: int, hop: int, window_kind: str = "hann") -> StftCon
             f"window_len {window_len} is not an integer multiple of hop {hop}"
         )
     analysis = _window(window_kind, window_len)
-    denom = shifted_square_sum(analysis, hop)
+    denom = _shifted_square_sum(analysis, hop)
     if np.any(denom <= 0.0):
         raise DegenerateWindowError(
             f"{window_kind} window of length {window_len} with hop {hop} has a "

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import specconsist as sc
 from specconsist import phase_losses as pl
-from specconsist.stft import _polar, istft, shifted_square_sum, stft
+from specconsist.stft import _polar, _shifted_square_sum, istft, stft
 
 
 # The losses' formulas in the phase difference P - P', which they evaluated
@@ -126,7 +126,7 @@ class TestLossTime:
         # magnitudes in [0, 1) the Frobenius bound is below the weighted loss
         n, r = 64, 16
         s = cfg_64_16.synthesis_window
-        c = n * shifted_square_sum(s, r).max()
+        c = n * _shifted_square_sum(s, r).max()
         for _ in range(100):
             m = int(rng.integers(4, 10))
             p = rng.uniform(-np.pi, np.pi, (m, n))

@@ -17,7 +17,7 @@ from specconsist import (ConfigError, DegenerateWindowError, InputError,
                          expand_half_spectrum, grad_loss_ec_phase, istft,
                          loss_ec, loss_ec_phase, loss_time, make_config,
                          num_frames, overlap_add, project, residual, stft)
-from specconsist.stft import (_SUM_ROW, _polar, _sum_squares, shifted_square_sum,
+from specconsist.stft import (_SUM_ROW, _polar, _shifted_square_sum, _sum_squares,
                               signal_length)
 
 
@@ -84,7 +84,7 @@ class TestMakeConfig:
 
     def test_shifted_square_sum_is_periodic(self):
         cfg = make_config(256, 64, "hann")
-        d = shifted_square_sum(cfg.analysis_window, 64)
+        d = _shifted_square_sum(cfg.analysis_window, 64)
         np.testing.assert_allclose(d[:64], d[64:128])
 
 
