@@ -95,37 +95,16 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
         raise InputError(f"unknown loss {resolved['loss']!r}")
     if resolved["solver"]["kind"] not in SOLVER_KINDS:
         raise InputError(f"solver kind must be one of {SOLVER_KINDS}")
-    metrics._check_search_radius(resolved["metrics"]["search_radius"])
+    _integer(resolved["metrics"]["search_radius"], "search_radius", 0)
     if not isinstance(resolved["io"]["output_dir"], str):
         raise InputError("io.output_dir must be a string")
     return resolved
 
 
-def _number(kind, value, name: str):
-    """``kind(value)``; a config file may spell a number as a string such as "0.01"."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} must be a number, got {value!r}") from None
-
-
-def _config_integer(value, name: str) -> int:
-    """``value`` as ``stft._integer`` takes it; a config file may spell it "12"."""
-    return _integer(_number(int, value, name) if isinstance(value, str) else value,
-                    name)
-
-
 def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
-    fields = {}
-    for name, default in _SOLVER_DEFAULTS.items():
-        value, key = cfg["solver"][name], f"solver.{name}"
-        if isinstance(default, int):
-            value = _config_integer(value, key)
-        elif isinstance(default, float):
-            value = _number(float, value, key)
-        fields[name] = value
-    return solvers.SolverOptions(**fields, seed=_config_integer(cfg["seed"], "seed"),
-                                 init_phase=init_phase)
+    """The run's options, taken as the config spells them; ``validate`` checks them."""
+    fields = {name: cfg["solver"][name] for name in _SOLVER_DEFAULTS}
+    return solvers.SolverOptions(**fields, seed=cfg["seed"], init_phase=init_phase)
 
 
 # argparse dest -> (dotted config path, map from flag value to config value)
@@ -348,8 +327,10 @@ def cmd_compare(args) -> int:
 
     header = ["file", "loss", "final_loss", "consistency_measure",
               "aligned_snr_db", "spectral_convergence_db"]
-    threads = max(1, _number(int, os.environ.get("SPECCONSIST_THREADS", "1"),
-                             "SPECCONSIST_THREADS"))
+    try:
+        threads = max(1, int(os.environ.get("SPECCONSIST_THREADS", "1")))
+    except ValueError:
+        raise InputError("SPECCONSIST_THREADS must be an integer") from None
     with ThreadPoolExecutor(max_workers=threads) as pool:
         per_file = list(pool.map(
             lambda p: _compare_one(p, loss_names, cfg, config), corpus))

@@ -12,8 +12,8 @@ import numpy as np
 
 from .consistency import _blocked_loss
 from .errors import InputError, MetricError
-from .stft import (Signal, StftConfig, _analyze_frames, _coerce_spec, _padded,
-                   _sum_squares, stft)
+from .stft import (Signal, StftConfig, _analyze_frames, _coerce_spec, _integer,
+                   _padded, _sum_squares, stft)
 
 DB_CLAMP = 300.0
 
@@ -88,13 +88,6 @@ def _shifted(est: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def _check_search_radius(radius) -> int:
-    """The alignment search radius as an int; the one check of it."""
-    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)) or radius < 0:
-        raise InputError("search radius must be a nonnegative integer")
-    return int(radius)
-
-
 def _samples(signal) -> np.ndarray:
     """The float64 samples of a Signal or of a 1-D array."""
     x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
@@ -127,7 +120,7 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     all-zero estimate and score exactly 0 dB, so only the first of them,
     (-R, +1), can win.
     """
-    radius = _check_search_radius(search_radius)
+    radius = _integer(search_radius, "search_radius", 0)
     ref, est = _samples(ref), _samples(est)
     if ref.size != est.size:
         raise InputError("reference and estimate lengths differ")

@@ -17,7 +17,7 @@ from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _check_frames, _integer, _polar,
-                   _sum_squares, _unit_phasor, istft, signal_length)
+                   _real, _sum_squares, _unit_phasor, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
 INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
@@ -27,6 +27,13 @@ PARAMETERIZATIONS = ("direct_phase", "c1_c2")
 
 @dataclass
 class SolverOptions:
+    """Options of either solver; ``validate`` applies one rule per kind of value.
+
+    ``max_iters`` >= 1 and ``seed`` >= 0 are integral numbers (``stft._integer``);
+    ``initial_step`` and ``final_step`` > 0 and ``tolerance`` >= 0 are finite
+    numbers (``stft._real``). A bool or a string is never a number.
+    """
+
     max_iters: int = 100
     step_rule: str = "cosine_anneal"
     initial_step: float = 1e-3
@@ -38,22 +45,15 @@ class SolverOptions:
     init_phase: np.ndarray | None = None
 
     def validate(self):
-        self.max_iters = _integer(self.max_iters, "max_iters")
-        self.seed = _integer(self.seed, "seed")
-        if self.max_iters < 1:
-            raise InputError("max_iters must be at least 1")
-        if not (self.initial_step > 0 and self.final_step > 0):
-            raise InputError("step sizes must be positive")
-        if not self.tolerance >= 0:
-            raise InputError("tolerance must be nonnegative")
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
-        if self.step_rule not in STEP_RULES:
-            raise InputError(f"unknown step rule {self.step_rule!r}")
-        if self.init not in INITS:
-            raise InputError(f"unknown init {self.init!r}")
-        if self.parameterization not in PARAMETERIZATIONS:
-            raise InputError(f"unknown parameterization {self.parameterization!r}")
+        self.max_iters = _integer(self.max_iters, "max_iters", 1)
+        self.seed = _integer(self.seed, "seed", 0)
+        self.initial_step = _real(self.initial_step, "initial_step", 0.0, inclusive=False)
+        self.final_step = _real(self.final_step, "final_step", 0.0, inclusive=False)
+        self.tolerance = _real(self.tolerance, "tolerance", 0.0, inclusive=True)
+        for name, choices in (("step_rule", STEP_RULES), ("init", INITS),
+                              ("parameterization", PARAMETERIZATIONS)):
+            if (value := getattr(self, name)) not in choices:
+                raise InputError(f"unknown {name} {value!r}; expected one of {choices}")
 
 
 @dataclass

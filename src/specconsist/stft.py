@@ -31,6 +31,10 @@ WINDOW_KINDS = ("hann", "rectangular")
 # and one row per frame let about 1 case in 200 pass 4.
 _SUM_ROW = 32
 
+# Longest window `make_config` accepts: 2**20 samples (21.8 s at 48 kHz) is far
+# beyond any analysis window, and a config allocates window-length arrays at once.
+_MAX_WINDOW_LEN = 2**20
+
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -111,16 +115,14 @@ def _shifted_square_sum(window: np.ndarray, hop: int) -> np.ndarray:
 def make_config(window_len: int, hop: int, window_kind: str = "hann") -> StftConfig:
     """Build a config with the dual synthesis window for exact reconstruction.
 
-    Raises ConfigError when ``window_len`` is not a positive multiple of
+    Raises InputError unless ``window_len`` (at most ``_MAX_WINDOW_LEN``) and
+    ``hop`` are integers >= 1, ConfigError when ``window_len`` is not a multiple of
     ``hop`` and DegenerateWindowError when the shifted-square sum of the
     requested window has zeros (no dual window exists, e.g. hann with
     ``window_len < 2 * hop``).
     """
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in (window_len, hop)):
-        raise ConfigError("window_len and hop must be integers")
-    if window_len <= 0 or hop <= 0:
-        raise ConfigError("window_len and hop must be positive")
+    window_len = _integer(window_len, "window_len", 1, _MAX_WINDOW_LEN)
+    hop = _integer(hop, "hop", 1)
     if window_len % hop != 0:
         raise ConfigError(
             f"window_len {window_len} is not an integer multiple of hop {hop}"
@@ -219,14 +221,29 @@ def _check_frames(data: np.ndarray, config: StftConfig, what: str) -> np.ndarray
     return data
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is an integral number and not a bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        if isinstance(value, (float, np.floating)) and float(value).is_integer():
-            return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
+def _integer(value, name: str, floor: int, ceiling: int | None = None) -> int:
+    """``value`` as an int: an integral int or float, never a bool or a string."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and floor <= value and (ceiling is None or value <= ceiling)):
+        return int(value)
+    bound = f">= {floor}" if ceiling is None else f"in [{floor}, {ceiling}]"
+    raise InputError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _real(value, name: str, floor: float, *, inclusive: bool) -> float:
+    """``value`` as a finite float >= ``floor`` (> unless ``inclusive``), never a bool."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = np.inf
+        if (floor <= number if inclusive else floor < number) and number < np.inf:
+            return number
+    bound = ">=" if inclusive else ">"
+    raise InputError(f"{name} must be a finite number {bound} {floor:g}, got {value!r}")
 
 
 def _sum_squares(x: np.ndarray) -> float:
@@ -339,9 +356,9 @@ def istft(spec, config: StftConfig | None = None, length: int | None = None,
 
 def _check_length(length: int, frames: int, config: StftConfig) -> int:
     """``length`` if ``istft`` can return that many samples from ``frames`` frames."""
-    length = _integer(length, "length")
+    length = _integer(length, "length", 0)
     full = frames * config.hop
-    if length < 0 or length > full:
+    if length > full:
         raise InputError(f"length must be in [0, {full}] for {frames} frames")
     return length
 

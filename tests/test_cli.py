@@ -68,6 +68,9 @@ class TestResolveConfig:
         {"solver": {"max_iters": "abc"}},
         {"seed": None},
         {"io": {"output_dir": 3}},
+        # windows beyond make_config's bound fail before numpy allocates them
+        {"stft": {"window_len": 1099511627776, "hop": 274877906944}},
+        {"stft": {"window_len": 10**41, "hop": 10**41}},
     ])
     def test_malformed_values_are_input_errors(self, tmp_path, file_cfg):
         cfg_file = tmp_path / "bad.json"
@@ -85,6 +88,8 @@ class TestResolveConfig:
         {"solver": {"max_iters": True}},
         {"seed": 1.5},
         {"seed": True},
+        {"seed": "4"},
+        {"solver": {"max_iters": "7"}},
     ])
     def test_non_integers_in_integer_fields_are_input_errors(self, tmp_path, file_cfg):
         cfg_file = tmp_path / "bad.json"
@@ -117,12 +122,57 @@ class TestResolveConfig:
                          "--window-len", "64", "--hop", "16"]) == cli.EXIT_INPUT
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("file_cfg", [
+        {"solver": {"tolerance": "inf"}},
+        {"solver": {"tolerance": float("inf")}},
+        {"solver": {"tolerance": -1e-3}},
+        {"solver": {"initial_step": "0.01"}},
+        {"solver": {"initial_step": 10**400}},
+        {"solver": {"initial_step": 0}},
+        {"solver": {"final_step": float("nan")}},
+        {"solver": {"final_step": True}},
+    ])
+    def test_non_finite_or_string_floats_are_input_errors(self, tmp_path, file_cfg):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(file_cfg))  # inf and nan as JSON's Infinity, NaN
+        with pytest.raises(sc.InputError, match="must be a finite number"):
+            cli.resolve_config(cfg_file)
+        np.save(tmp_path / "mag.npy", np.ones((8, 64)))
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--config",
+                         str(cfg_file), "--out", str(tmp_path / "run"),
+                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_INPUT
+        assert not (tmp_path / "run").exists()
+
     def test_integral_numbers_in_integer_fields_are_accepted(self, tmp_path):
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"solver": {"max_iters": 3.0}, "seed": "4"}))
+        cfg_file.write_text(json.dumps({"solver": {"max_iters": 3.0}, "seed": 4.0}))
         opts = cli._solver_options(cli.resolve_config(cfg_file))
+        opts.validate()
         assert (opts.max_iters, opts.seed) == (3, 4)
         assert type(opts.max_iters) is int and type(opts.seed) is int
+        # a number spelled as a string is not a number
+        cfg_file.write_text(json.dumps({"solver": {"max_iters": 3.0}, "seed": "4"}))
+        with pytest.raises(sc.InputError, match="seed must be an integer"):
+            cli.resolve_config(cfg_file)
+        np.save(tmp_path / "mag.npy", np.ones((8, 64)))
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--config",
+                         str(cfg_file), "--out", str(tmp_path / "run"),
+                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_INPUT
+        assert not (tmp_path / "run").exists()
+
+    def test_integral_floats_in_stft_and_metrics_are_accepted(self, tmp_path):
+        wav, out = tmp_path / "in.wav", tmp_path / "run"
+        make_wav(wav)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"stft": {"window_len": 4096.0, "hop": 1024},
+                                        "metrics": {"search_radius": 16.0}}))
+        assert cli.main(["analyze", str(wav), "--config", str(cfg_file),
+                         "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+        assert json.loads((tmp_path / "r.json").read_text())["results"]["bins"] == 4096
+        assert cli.main(["reconstruct", str(wav), "--config", str(cfg_file),
+                         "--solver", "gla", "--iters", "2", "--reference", str(wav),
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["results"]["eval"]
 
 
 class TestTables:
@@ -156,11 +206,21 @@ class TestTables:
             {"solver": {"extra_key": 1, "initial_step": "0.01", "max_iters": "7"}}))
         with pytest.raises(sc.InputError, match=r"'solver\.extra_key'"):
             cli.resolve_config(cfg_file)
-        cfg_file.write_text(json.dumps({"solver": {"initial_step": "0.01", "max_iters": "7"}}))
+        cfg_file.write_text(json.dumps({"solver": {"initial_step": 0.01, "max_iters": 7.0}}))
         resolved = cli.resolve_config(cfg_file)
-        assert resolved["solver"]["initial_step"] == "0.01"
+        assert resolved["solver"]["max_iters"] == 7.0  # the report keeps the spelling
         opts = cli._solver_options(resolved)
+        opts.validate()
         assert (opts.initial_step, opts.max_iters) == (0.01, 7)
+        # numbers spelled as strings are exit 2
+        cfg_file.write_text(json.dumps({"solver": {"initial_step": "0.01", "max_iters": "7"}}))
+        with pytest.raises(sc.InputError, match="must be an integer"):
+            cli.resolve_config(cfg_file)
+        np.save(tmp_path / "mag.npy", np.ones((8, 64)))
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--config",
+                         str(cfg_file), "--out", str(tmp_path / "run"),
+                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_INPUT
+        assert not (tmp_path / "run").exists()
 
 
 class TestAnalyze:
@@ -494,13 +554,18 @@ class TestReconstruct:
         assert code == cli.EXIT_INPUT
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--step", "nan"]])
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"], ["--step", "nan"], ["--step", "inf"], ["--final-step", "inf"],
+        ["--window-len", "1099511627776", "--hop", "274877906944"],
+        ["--window-len", str(10**41), "--hop", str(10**41)],
+    ])
     def test_bad_solver_flags_are_input_errors(self, tmp_path, flags):
         wav = tmp_path / "in.wav"
         make_wav(wav, duration=0.05)
-        code = cli.main(["reconstruct", str(wav), "--iters", "2", *flags,
-                         "--out", str(tmp_path / "run")] + STFT_FLAGS)
+        code = cli.main(["reconstruct", str(wav), *STFT_FLAGS, "--iters", "2", *flags,
+                         "--out", str(tmp_path / "run")])
         assert code == cli.EXIT_INPUT
+        assert not (tmp_path / "run").exists()
 
     def test_divergence_exit_code_with_partial_trace(self, tmp_path):
         wav = tmp_path / "in.wav"
@@ -509,9 +574,10 @@ class TestReconstruct:
         phase_file = tmp_path / "p.npy"
         np.save(phase_file, stft(signal, config).phase)
         out = tmp_path / "run"
+        # a finite step of 1e308 carries the phase past the float range
         code = cli.main(["reconstruct", str(wav), "--loss", "cos",
                          "--target-phase", str(phase_file),
-                         "--init", "noisy", "--step", "inf",
+                         "--init", "random", "--step", "1e308",
                          "--step-rule", "fixed", "--iters", "5",
                          "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
@@ -522,7 +588,7 @@ class TestReconstruct:
         wav = tmp_path / "in.wav"
         make_wav(wav)
         out = tmp_path / "run"
-        code = cli.main(["reconstruct", str(wav), "--loss", "ec", "--step", "inf",
+        code = cli.main(["reconstruct", str(wav), "--loss", "ec", "--step", "1e308",
                          "--step-rule", "fixed", "--iters", "5",
                          "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
@@ -627,7 +693,7 @@ class TestCompare:
         corpus = self._make_corpus(tmp_path)
         out = tmp_path / "outdir" / "r.csv"
         monkeypatch.setenv("SPECCONSIST_THREADS", "2")
-        code = cli.main(["compare", str(corpus), "--step", "inf", "--step-rule",
+        code = cli.main(["compare", str(corpus), "--step", "1e308", "--step-rule",
                          "fixed", "--iters", "3", "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
         assert not out.parent.exists()
@@ -635,17 +701,18 @@ class TestCompare:
     def test_diverging_file_and_loss_are_named(self, tmp_path, capsys):
         corpus = self._make_corpus(tmp_path)
         out = tmp_path / "outdir" / "r.csv"
-        code = cli.main(["compare", str(corpus), "--losses", "cos", "--step", "inf",
+        code = cli.main(["compare", str(corpus), "--losses", "cos", "--step", "1e308",
                          "--step-rule", "fixed", "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_DIVERGENCE
         err = capsys.readouterr().err
         assert f"{corpus / 'a.wav'}, loss cos: loss 'cos' became non-finite" in err
         assert not out.parent.exists()
-        cfg = cli.resolve_config(None, {"solver": {"initial_step": np.inf,
+        cfg = cli.resolve_config(None, {"solver": {"initial_step": 1e308,
                                                    "step_rule": "fixed"}})
         with pytest.raises(sc.DivergenceError) as excinfo:
             cli._compare_one(corpus / "a.wav", ["cos"], cfg, sc.make_config(256, 64))
-        assert len(excinfo.value.trace.records) == 2
+        # the second step of 1e308 overflows the phase: records 0 and 1 are finite
+        assert len(excinfo.value.trace.records) == 3
 
     def test_all_zero_file_and_loss_are_named(self, tmp_path, capsys):
         corpus = self._make_corpus(tmp_path)
@@ -741,54 +808,85 @@ class TestSynthCommand:
 
 # Drawn JSON values: every known config key gets either a plausible value or
 # an arbitrary JSON value, and stray keys appear at the top and in sections.
+# Numbers come as ints, integral floats, any float, 1e308, 10**41 and strings.
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 300),
-                          st.floats(), st.text(max_size=5))
+                          st.integers(-2, 300).map(float), st.floats(),
+                          st.sampled_from([1e308, 10**41]),
+                          st.sampled_from(["7", "0.01", "inf", "1e308"]),
+                          st.text(max_size=5))
 _JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2),
                          st.dictionaries(st.text(max_size=4), _JSON_SCALARS,
                                          max_size=2))
 _KNOWN_VALUES = {
-    "stft": {"window_len": st.sampled_from([16, 32, 64]),
-             "hop": st.sampled_from([4, 8, 16]),
+    "stft": {"window_len": st.sampled_from([128, 256, 512]),
+             "hop": st.sampled_from([32, 64, 128]),
              "window_kind": st.sampled_from(WINDOW_KINDS)},
     "solver": {name: st.just(default) for name, default
                in cli.DEFAULT_CONFIG["solver"].items()},
     "metrics": {"search_radius": st.integers(0, 64)},
     "io": {"output_dir": st.just(".")},
 }
+# A valid max_iters such as 10**41 or 1e20 would never finish.
+_ARBITRARY = {"max_iters": _JSON_VALUES.filter(
+    lambda v: not (isinstance(v, (int, float)) and v > 300))}
+_FLOAT_KEYS = ("initial_step", "final_step", "tolerance")
+
+
+def _rarely(draw) -> bool:
+    """True one time in eight, so that some drawn configs are valid throughout."""
+    return draw(st.sampled_from([False] * 7 + [True]))
 
 
 @st.composite
 def _config_files(draw):
     cfg = {}
     for section, keys in _KNOWN_VALUES.items():
-        if draw(st.booleans()):
+        if _rarely(draw):
             cfg[section] = draw(_JSON_VALUES)
             continue
-        cfg[section] = {key: draw(st.one_of(good, _JSON_VALUES)) for key, good
-                        in keys.items() if draw(st.booleans())}
-        cfg[section].update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES,
-                                                 max_size=1)))
+        cfg[section] = {key: draw(_ARBITRARY.get(key, _JSON_VALUES) if _rarely(draw)
+                                  else good)
+                        for key, good in keys.items() if draw(st.booleans())}
+        if _rarely(draw):
+            cfg[section].update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES,
+                                                     max_size=1)))
     for key, good in (("loss", st.sampled_from(solvers.LOSSES)),
                       ("seed", st.integers(0, 9))):
         if draw(st.booleans()):
-            cfg[key] = draw(st.one_of(good, _JSON_VALUES))
-    cfg.update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=1)))
+            cfg[key] = draw(_JSON_VALUES if _rarely(draw) else good)
+    if _rarely(draw):
+        cfg.update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=1)))
     return cfg
 
 
 class TestConfigProperty:
+    """Any config file: exit 0, 2 or 3, nothing written on exit 2, and exit 2
+    whenever a float key holds a string or a non-finite number."""
+
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(file_cfg=_config_files())
-    def test_analyze_exits_ok_or_input_error(self, tmp_path, file_cfg):
+    def test_config_file_exit_code_contract(self, tmp_path, command, file_cfg):
         wav = tmp_path / "in.wav"
         if not wav.exists():
             make_wav(wav, duration=0.05)  # 400 samples
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(file_cfg))
-        code = cli.main(["analyze", str(wav), "--config", str(cfg_file),
-                         "--out", str(tmp_path / "r.json")])
-        assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = cli.main([command, str(wav), "--config", str(cfg_file), "--out",
+                             str(out / "r.json" if command == "analyze" else out)])
+            event(f"exit {code}")
+            assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_DIVERGENCE)
+            if code == cli.EXIT_INPUT:
+                assert not out.exists()
+        solver = file_cfg.get("solver")
+        if isinstance(solver, dict) and any(
+                isinstance(value, str) or (isinstance(value, float)
+                                           and not np.isfinite(value))
+                for key, value in solver.items() if key in _FLOAT_KEYS):
+            assert code == cli.EXIT_INPUT
 
 
 # Drawn argv for reconstruct and compare. Each flag is absent, valid, or (one
@@ -797,7 +895,7 @@ _SMALL_STFT = ["--window-len", "64", "--hop", "16"]
 _FLAG_VALUES = {  # flag -> (accepted values, rejected values)
     "--solver": (cli.SOLVER_KINDS, ["lbfgs"]),
     "--iters": (["1", "3"], ["0", "-2", "x"]),
-    "--step": (["1e-3", "0.5", "inf"], ["0", "-1", "nan", "x"]),
+    "--step": (["1e-3", "0.5", "1e308"], ["0", "-1", "nan", "inf", "x"]),
     "--radius": (["0", "16"], ["-1", "1.5"]),
     "--seed": (["0", "7"], ["-1", "x"]),
     "--sr": (["8000"], ["0", "-8000", str(2**31), "x"]),

@@ -242,7 +242,7 @@ class TestAlignedSnr:
     @pytest.mark.parametrize("radius", [-1, 2.5, True, "3", None])
     def test_bad_radius_rejected(self, rng, radius):
         x = rng.standard_normal(16)
-        with pytest.raises(sc.InputError, match="nonnegative integer"):
+        with pytest.raises(sc.InputError, match="search_radius must be an integer >= 0"):
             sc.aligned_snr(x, x, radius)
 
     def test_numpy_integer_radius_accepted(self, rng):

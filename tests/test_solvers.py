@@ -392,10 +392,10 @@ class TestGdReconstruct:
 
     def test_divergence_raises_with_trace(self, cfg_64_16, rng):
         target = rng.uniform(-np.pi, np.pi, (6, 64))
-        # zero gradient at the optimum times an infinite step produces NaN
+        # a finite step of 1e308 carries the phase past the float range
         opts = SolverOptions(max_iters=5, step_rule="fixed",
-                             initial_step=np.inf, final_step=np.inf,
-                             init="provided", init_phase=target.copy())
+                             initial_step=1e308, final_step=1e308,
+                             init="provided", init_phase=target + 0.1)
         with pytest.raises(sc.DivergenceError) as excinfo:
             gd_reconstruct(np.ones((6, 64)), "cos", target, opts, cfg_64_16)
         assert excinfo.value.trace is not None
@@ -405,12 +405,13 @@ class TestGdReconstruct:
     def test_time_loss_divergence_raises_with_trace(self, cfg_64_16, rng, loss):
         # The time loss resynthesizes a signal; a non-finite phase must come
         # back as a non-finite loss, not as an input error on that signal.
+        # At a magnitude of 100 a step of 1e308 overflows the phase at iteration 1.
         target = rng.uniform(-np.pi, np.pi, (6, 64))
         opts = SolverOptions(max_iters=5, step_rule="fixed",
-                             initial_step=np.inf, final_step=np.inf,
+                             initial_step=1e308, final_step=1e308,
                              init="provided", init_phase=target + 0.1)
         with pytest.raises(sc.DivergenceError) as excinfo:
-            gd_reconstruct(np.ones((6, 64)), loss, target, opts, cfg_64_16)
+            gd_reconstruct(np.full((6, 64), 100.0), loss, target, opts, cfg_64_16)
         assert len(excinfo.value.trace.records) >= 2
 
     @settings(max_examples=40, deadline=None)
@@ -428,14 +429,15 @@ class TestGdReconstruct:
         loss = draw(st.sampled_from(sorted(PUBLIC_LOSSES)))
         if loss == "ec":
             target = None
-        step = draw(st.sampled_from([1e-3, 0.05, np.inf]))  # inf: the iterate diverges
+        step = draw(st.sampled_from([1e-3, 0.05, 1e308]))  # 1e308: the iterate diverges
         opts = SolverOptions(
             max_iters=draw(st.integers(1, 6)), seed=draw(st.integers(0, 9)),
             step_rule=draw(st.sampled_from(solvers.STEP_RULES)), initial_step=step,
             init=draw(st.sampled_from(["zeros", "random_uniform"])),
             parameterization=draw(st.sampled_from(solvers.PARAMETERIZATIONS)),
             tolerance=draw(st.sampled_from([0.0, 1e-3, 1.0])))
-        if opts.step_rule == "relative" and not (mag.any() and step < np.inf):
+        peak_sq = float(mag.max()) ** 2
+        if opts.step_rule == "relative" and not (peak_sq > 0 and step / peak_sq < np.inf):
             with pytest.raises(sc.InputError):
                 gd_reconstruct(mag, loss, target, opts, config)
             return
@@ -541,6 +543,19 @@ class TestGdReconstruct:
             SolverOptions(tolerance=-1e-3).validate()
         with pytest.raises(sc.InputError):
             SolverOptions(init="bogus").validate()
+
+    @pytest.mark.parametrize("field", ["initial_step", "final_step", "tolerance"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "0.01", True, 10**400])
+    def test_non_finite_or_non_numeric_floats_are_input_errors(self, field, value):
+        with pytest.raises(sc.InputError, match=f"{field} must be a finite number"):
+            SolverOptions(**{field: value}).validate()
+
+    def test_floats_of_any_number_type_become_floats(self):
+        opts = SolverOptions(initial_step=1, final_step=np.float32(0.5), tolerance=0)
+        opts.validate()
+        assert (opts.initial_step, opts.final_step, opts.tolerance) == (1.0, 0.5, 0.0)
+        assert all(type(v) is float
+                   for v in (opts.initial_step, opts.final_step, opts.tolerance))
 
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 2.5), ("max_iters", True), ("max_iters", np.float64(1.5)),
