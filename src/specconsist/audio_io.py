@@ -12,9 +12,12 @@ from .errors import AudioFormatError, InputError
 from .stft import Signal
 
 ENCODINGS = ("pcm16", "float32")
-# synth kind -> the parameters it requires
-SYNTH_KINDS = {"sine": ("freq",), "multisine": ("freqs",), "chirp": ("f0", "f1"),
-               "noise": (), "impulse": ()}
+# synth kind -> (the parameters it requires, the ones it may take)
+SYNTH_KINDS = {"sine": (("freq",), ("amp", "phase")),
+               "multisine": (("freqs",), ("amps", "phases")),
+               "chirp": (("f0", "f1"), ("amp",)),
+               "noise": ((), ("amp", "seed")),
+               "impulse": ((), ("position", "amp"))}
 
 _PCM16_SCALE = 32768.0
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -106,7 +109,8 @@ def _check_sample_rate(rate: int) -> int:
 def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
     """Synthesize a deterministic test signal.
 
-    kinds and their params:
+    A kind takes only its own params (``SYNTH_KINDS``); any other is an
+    InputError. kinds and their params:
       sine      freq, amp=1, phase=0
       multisine freqs, amps=None (1 each), phases=None (0 each)
       chirp     f0, f1, amp=1 (linear sweep)
@@ -114,9 +118,15 @@ def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
       impulse   position=0, amp=1
     """
     params = dict(params or {})
-    missing = [name for name in SYNTH_KINDS.get(kind, ()) if params.get(name) is None]
+    if kind not in SYNTH_KINDS:
+        raise InputError(
+            f"unknown synth kind {kind!r}; expected one of {tuple(SYNTH_KINDS)}")
+    required, optional = SYNTH_KINDS[kind]
+    missing = [name for name in required if params.get(name) is None]
     if missing:
         raise InputError(f"synth {kind} requires {', '.join(missing)}")
+    if extra := sorted(set(params) - {*required, *optional}):
+        raise InputError(f"synth {kind} takes no {', '.join(extra)}")
     _check_sample_rate(sr)  # its bound keeps sr * duration a float
     if not np.isfinite(duration):
         raise InputError("duration must be finite")
@@ -157,15 +167,12 @@ def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
         if not np.isfinite(amp) or seed < 0:
             raise InputError("noise needs a finite amp and a nonnegative seed")
         x = np.random.default_rng(seed).uniform(-amp, amp, size=n)
-    elif kind == "impulse":
+    else:
         position = int(params.get("position", 0))
         if not 0 <= position < n:
             raise InputError(f"impulse position {position} outside [0, {n})")
         x = np.zeros(n)
         x[position] = float(params.get("amp", 1.0))
-    else:
-        raise InputError(
-            f"unknown synth kind {kind!r}; expected one of {tuple(SYNTH_KINDS)}")
     return Signal(x, sample_rate=sr)
 
 

@@ -39,7 +39,7 @@ SOLVER_KINDS = ("gla", "gd")
 # CLI spellings -> library names
 LOSS_FLAGS = {name.replace("_", "-"): name for name in solvers.LOSSES}
 INIT_FLAGS = {"zeros": "zeros", "random": "random_uniform",
-              "noisy": "noisy_phase", "provided": "provided"}
+              "noisy": "provided", "provided": "provided"}
 
 # The config's "solver" section holds every SolverOptions field except the
 # seed (a top-level key) and the initial phase (loaded from --init-phase).
@@ -107,34 +107,38 @@ def _solver_options(cfg: dict, init_phase=None) -> solvers.SolverOptions:
     return solvers.SolverOptions(**fields, seed=cfg["seed"], init_phase=init_phase)
 
 
-# argparse dest -> (dotted config path, map from flag value to config value)
+# CLI flag -> (dotted config path, subcommands that take it, argparse keywords).
+# A dict of choices maps each CLI spelling to its config value.
+_ALL, _SOLVING = ("analyze", "reconstruct", "compare"), ("reconstruct", "compare")
 CONFIG_FLAGS = {
-    "seed": ("seed", None),
-    "solver": ("solver.kind", None),
-    "iters": ("solver.max_iters", None),
-    "init": ("solver.init", INIT_FLAGS),
-    "step": ("solver.initial_step", None),
-    "final_step": ("solver.final_step", None),
-    "step_rule": ("solver.step_rule", None),
-    "loss": ("loss", LOSS_FLAGS),
-    "radius": ("metrics.search_radius", None),
-    "window_len": ("stft.window_len", None),
-    "hop": ("stft.hop", None),
-    "window": ("stft.window_kind", None),
+    "--seed": ("seed", _ALL, {"type": int, "help": "master seed (also the solver seed)"}),
+    "--window-len": ("stft.window_len", _ALL, {"type": int}),
+    "--hop": ("stft.hop", _ALL, {"type": int}),
+    "--window": ("stft.window_kind", _ALL, {"choices": WINDOW_KINDS}),
+    "--solver": ("solver.kind", ("reconstruct",), {"choices": SOLVER_KINDS}),
+    "--loss": ("loss", ("reconstruct",), {"choices": LOSS_FLAGS}),
+    "--iters": ("solver.max_iters", _SOLVING, {"type": int}),
+    "--step": ("solver.initial_step", _SOLVING, {"type": float, "help": "initial step size"}),
+    "--final-step": ("solver.final_step", _SOLVING, {"type": float}),
+    "--step-rule": ("solver.step_rule", _SOLVING, {"choices": solvers.STEP_RULES}),
+    "--init": ("solver.init", ("reconstruct",), {"choices": INIT_FLAGS}),
+    "--radius": ("metrics.search_radius", _SOLVING,
+                 {"type": int, "help": "alignment search radius in samples"}),
 }
 
 
 def _config_overrides(args) -> dict:
     over: dict = {}
-    for dest, (path, spellings) in CONFIG_FLAGS.items():
-        value = getattr(args, dest, None)
+    for flag, (path, _, keywords) in CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
         if value is None:
             continue
         *sections, key = path.split(".")
         node = over
         for section in sections:
             node = node.setdefault(section, {})
-        node[key] = value if spellings is None else spellings[value]
+        spellings = keywords.get("choices")
+        node[key] = spellings[value] if isinstance(spellings, dict) else value
     return over
 
 
@@ -184,7 +188,7 @@ def cmd_analyze(args) -> int:
 
 
 def _load_reconstruct_input(args, config):
-    """Returns (magnitude, noisy_phase_or_None, reference_or_None, sample_rate)."""
+    """Returns (magnitude, wav_phase_or_None, reference_or_None, sample_rate)."""
     path = Path(args.input)
     if path.suffix.lower() == ".npy":
         arr = _load_npy(path)
@@ -211,26 +215,28 @@ def _load_npy(path) -> np.ndarray:
 def cmd_reconstruct(args) -> int:
     cfg = resolve_config(args.config, _config_overrides(args))
     config = make_config(**cfg["stft"])
-    mag, noisy_phase, reference, sample_rate = _load_reconstruct_input(args, config)
+    mag, wav_phase, reference, sample_rate = _load_reconstruct_input(args, config)
     audio_io._check_sample_rate(sample_rate)
 
     if args.reference is not None:
         reference, _ = audio_io.read_wav(args.reference, downmix=args.downmix)
 
+    # --init provided (or noisy) starts from --init-phase, else from the WAV's phase.
     init_phase = None
-    if (cfg["solver"]["init"] == "provided") != (args.init_phase is not None):
-        raise InputError("--init-phase goes with --init provided, and only with it")
-    if cfg["solver"]["init"] == "noisy_phase":
-        if noisy_phase is None:
-            raise InputError("noisy-phase init requires WAV input")
-        init_phase = noisy_phase
+    if cfg["solver"]["init"] != "provided":
+        if args.init_phase is not None:
+            raise InputError("--init-phase goes only with --init provided or noisy")
     elif args.init_phase is not None:
         init_phase = _load_npy(args.init_phase)
+    elif (init_phase := wav_phase) is None:
+        raise InputError("--init provided on a .npy magnitude needs --init-phase")
 
+    solver_kind = cfg["solver"]["kind"]
     target_phase = None
     if args.target_phase is not None:
-        if cfg["loss"] == "ec":
-            raise InputError("the consistency loss never consumes a target phase")
+        if solver_kind != "gd" or cfg["loss"] == "ec":
+            raise InputError("--target-phase goes only with --solver gd and a "
+                             "target-based loss")
         target_phase = _load_npy(args.target_phase)
 
     opts = _solver_options(cfg, init_phase=init_phase)
@@ -239,7 +245,6 @@ def cmd_reconstruct(args) -> int:
     length = span if reference is None else _check_length(len(reference), len(mag),
                                                           config)
 
-    solver_kind = cfg["solver"]["kind"]
     try:
         if solver_kind == "gla":
             phase, trace = solvers.griffin_lim(mag, opts, config)
@@ -370,25 +375,16 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-# synth parameter flag -> argparse type; audio_io.SYNTH_KINDS says which a kind needs
+# synth parameter flag -> argparse type; audio_io.SYNTH_KINDS says which a kind takes
 SYNTH_FLAGS = {"freq": float, "freqs": _floats, "amps": _floats, "phases": _floats,
                "f0": float, "f1": float, "amp": float, "position": int, "seed": int}
 
 
-def _add_common(sub):
+def _add_config_flags(sub, command: str):
     sub.add_argument("--config", help="JSON config file; flags take precedence")
-    sub.add_argument("--seed", type=int, help="master seed (also the solver seed)")
-    sub.add_argument("--window-len", type=int, dest="window_len")
-    sub.add_argument("--hop", type=int)
-    sub.add_argument("--window", choices=WINDOW_KINDS)
-
-
-def _add_solver_flags(sub):
-    sub.add_argument("--iters", type=int)
-    sub.add_argument("--step", type=float, help="initial step size")
-    sub.add_argument("--final-step", dest="final_step", type=float)
-    sub.add_argument("--step-rule", dest="step_rule", choices=solvers.STEP_RULES)
-    sub.add_argument("--radius", type=int, help="alignment search radius in samples")
+    for flag, (_, commands, keywords) in CONFIG_FLAGS.items():
+        if command in commands:
+            sub.add_argument(flag, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="consistency measure of a WAV file's STFT")
-    _add_common(p)
+    _add_config_flags(p, "analyze")
     p.add_argument("input")
     p.add_argument("--out", help="report path (default <output_dir>/report.json)")
     p.add_argument("--downmix", action="store_true")
@@ -407,15 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("reconstruct",
                         help="phase reconstruction from a WAV or magnitude matrix")
-    _add_common(p)
+    _add_config_flags(p, "reconstruct")
     p.add_argument("input", help="WAV file or .npy magnitude matrix")
-    p.add_argument("--solver", choices=SOLVER_KINDS)
-    p.add_argument("--loss", choices=sorted(LOSS_FLAGS))
-    _add_solver_flags(p)
-    p.add_argument("--init", choices=sorted(INIT_FLAGS))
-    p.add_argument("--init-phase", dest="init_phase", help=".npy phase for --init provided")
-    p.add_argument("--target-phase", dest="target_phase",
-                   help=".npy target phase for target-based losses")
+    p.add_argument("--init-phase",
+                   help=".npy phase for --init provided (default: a WAV input's phase)")
+    p.add_argument("--target-phase", help=".npy target phase for gd's target-based losses")
     p.add_argument("--reference", help="WAV reference for the evaluation report")
     p.add_argument("--sr", type=int, default=16000,
                    help="sample rate for matrix inputs (default 16000)")
@@ -425,11 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("compare", help="loss comparison table over a WAV corpus")
-    _add_common(p)
+    _add_config_flags(p, "compare")
     p.add_argument("corpus", help="directory of WAV files")
     p.add_argument("--losses", default="ec,cos,aw",
                    help="comma-separated loss names (CLI spellings)")
-    _add_solver_flags(p)
     p.add_argument("--out", help="results CSV path (default <output_dir>/results.csv)")
     p.set_defaults(func=cmd_compare)
 

@@ -20,7 +20,7 @@ from .stft import (Signal, Spectrogram, StftConfig, _check_frames, _integer, _po
                    _real, _sum_squares, _unit_phasor, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
-INITS = ("zeros", "random_uniform", "noisy_phase", "provided")
+INITS = ("zeros", "random_uniform", "provided")
 STEP_RULES = ("fixed", "cosine_anneal", "relative")
 PARAMETERIZATIONS = ("direct_phase", "c1_c2")
 

@@ -167,6 +167,15 @@ class TestSynth:
         with pytest.raises(sc.InputError):
             synth(kind, params, 8000, duration)
 
+    @pytest.mark.parametrize("kind, params, extra", [
+        ("sine", {"freq": 440.0, "phases": [1.0]}, "phases"),
+        ("noise", {"amp": 0.5, "freq": 440.0}, "freq"),
+        ("impulse", {"seed": 3, "freqs": [100.0]}, "freqs, seed"),
+    ])
+    def test_parameter_the_kind_does_not_take(self, kind, params, extra):
+        with pytest.raises(sc.InputError, match=f"synth {kind} takes no {extra}$"):
+            synth(kind, params, 8000, 0.1)
+
     # Each count is past the limit, so it fails before anything is allocated.
     @pytest.mark.parametrize("sr, duration", [(16000, 1e12), (16000, 1e308),
                                               (1, 2.0**31), (2, 2.0**30)])

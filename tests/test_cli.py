@@ -200,6 +200,29 @@ class TestTables:
                 sc.SolverOptions(max_iters=2), cfg_64_16)
             assert np.all(np.isfinite(trace.losses))
 
+    @pytest.mark.parametrize("flag", list(cli.CONFIG_FLAGS))
+    def test_every_config_flag_sets_its_config_key(self, flag):
+        path, commands, keywords = cli.CONFIG_FLAGS[flag]
+        node = cli.DEFAULT_CONFIG
+        for key in path.split("."):
+            assert key in node
+            node = node[key]
+        choices = keywords.get("choices")
+        if choices is not None:
+            text = list(choices)[-1]
+            want = choices[text] if isinstance(choices, dict) else text
+        else:
+            text = "7"
+            want = keywords["type"](text)
+        *sections, key = path.split(".")
+        expected = {key: want}
+        for section in reversed(sections):
+            expected = {section: expected}
+        parser = cli.build_parser()
+        for command in commands:
+            args = parser.parse_args([command, "in", flag, text])
+            assert cli._config_overrides(args) == expected
+
     def test_solver_section_extra_key_and_string_number(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(
@@ -534,7 +557,8 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("init, phase", [([], True), (["--init", "zeros"], True),
                                              (["--init", "random"], True),
-                                             (["--init", "provided"], False)])
+                                             (["--init", "provided"], False),
+                                             (["--init", "noisy"], False)])
     def test_init_phase_goes_with_provided_init(self, tmp_path, capsys, init, phase):
         np.save(tmp_path / "mag.npy", np.ones((6, 256)))
         np.save(tmp_path / "p.npy", np.zeros((6, 256)))
@@ -544,6 +568,50 @@ class TestReconstruct:
                          "--iters", "2", "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
         assert "--init provided" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    def test_noisy_init_starts_from_the_wav_phase(self, tmp_path, solver):
+        wav = tmp_path / "in.wav"
+        make_wav(wav)
+        signal = sc.read_wav(wav)[0]  # float32 samples, as the CLI reads them
+        np.save(tmp_path / "p.npy", stft(signal, sc.make_config(256, 64)).phase)
+        runs = {"noisy": ["--init", "noisy"], "provided": ["--init", "provided"],
+                "file": ["--init", "provided", "--init-phase", str(tmp_path / "p.npy")]}
+        for name, init in runs.items():
+            assert cli.main(["reconstruct", str(wav), "--solver", solver, *init,
+                             "--iters", "5", "--out", str(tmp_path / name)]
+                            + STFT_FLAGS) == cli.EXIT_OK
+        for output in ("out.wav", "trace.csv", "report.json"):
+            want = (tmp_path / "file" / output).read_bytes()
+            assert (tmp_path / "noisy" / output).read_bytes() == want
+            assert (tmp_path / "provided" / output).read_bytes() == want
+        report = json.loads((tmp_path / "noisy" / "report.json").read_text())
+        assert report["config"]["solver"]["init"] == "provided"
+
+    def test_noisy_phase_is_no_config_init(self, tmp_path, capsys):
+        wav, out = tmp_path / "in.wav", tmp_path / "run"
+        make_wav(wav)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"solver": {"init": "noisy_phase"}}))
+        code = cli.main(["reconstruct", str(wav), "--config", str(cfg_file),
+                         "--iters", "2", "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert "unknown init 'noisy_phase'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver, loss", [("gla", "ec"), ("gla", "cos"), ("gd", "ec")])
+    def test_target_phase_goes_only_with_gd_and_a_target_loss(self, tmp_path, capsys,
+                                                              solver, loss):
+        wav, out = tmp_path / "in.wav", tmp_path / "run"
+        make_wav(wav)
+        (tmp_path / "p.npy").write_bytes(b"never read")
+        code = cli.main(["reconstruct", str(wav), "--solver", solver, "--loss", loss,
+                         "--target-phase", str(tmp_path / "p.npy"), "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert ("--target-phase goes only with --solver gd and a target-based loss"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_sample_rate_beyond_the_wav_header_is_input_error(self, tmp_path):
@@ -798,6 +866,9 @@ class TestSynthCommand:
         ["sine", "--freq", "440", "--duration=-inf"],
         ["noise", "--seed=-1"], ["noise", "--amp", "inf"], ["noise", "--amp", "nan"],
         ["impulse", "--duration", "1e12"],
+        ["sine", "--freq", "440", "--phases", "1.0"],
+        ["multisine", "--freqs", "100,200", "--amp", "0.1"],
+        ["impulse", "--freq", "440", "--seed", "3"], ["noise", "--position", "5"],
     ])
     def test_bad_parameters_are_input_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "x.wav"
@@ -994,7 +1065,8 @@ class TestCommandProperty:
             corpus.mkdir()
             for i in range(draw(st.integers(0, 2))):
                 kind = draw(st.sampled_from(["sine", "noise"]))
-                signal = sc.synth(kind, {"freq": 440.0, "amp": 0.5}, 8000,
+                params = {"sine": {"freq": 440.0, "amp": 0.5}, "noise": {"amp": 0.5}}
+                signal = sc.synth(kind, params[kind], 8000,
                                   draw(st.sampled_from([0.05, 0.02, 0.001])))
                 encoding = draw(st.sampled_from(audio_io.ENCODINGS))
                 write_wav(signal, WavMeta(8000, 1, encoding, len(signal)),

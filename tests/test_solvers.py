@@ -544,6 +544,11 @@ class TestGdReconstruct:
         with pytest.raises(sc.InputError):
             SolverOptions(init="bogus").validate()
 
+    def test_inits_are_zeros_random_and_provided(self):
+        assert solvers.INITS == ("zeros", "random_uniform", "provided")
+        with pytest.raises(sc.InputError, match="unknown init 'noisy_phase'"):
+            SolverOptions(init="noisy_phase", init_phase=np.zeros((4, 64))).validate()
+
     @pytest.mark.parametrize("field", ["initial_step", "final_step", "tolerance"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "0.01", True, 10**400])
     def test_non_finite_or_non_numeric_floats_are_input_errors(self, field, value):
