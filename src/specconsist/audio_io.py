@@ -9,7 +9,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import AudioFormatError, InputError
-from .stft import Signal
+from .stft import Signal, _samples
 
 ENCODINGS = ("pcm16", "float32")
 # synth kind -> (the parameters it requires, the ones it may take)
@@ -76,7 +76,7 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     """
     if meta is None and not isinstance(signal, Signal):
         raise InputError("a bare sample array needs a WavMeta for its sample rate")
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, float)
+    x = np.asarray(_samples(signal), dtype=np.float64)
     if x.size == 0:
         raise InputError("refusing to write a zero-length WAV file")
     if not np.all(np.isfinite(x)):

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
-from .stft import (WINDOW_KINDS, _check_frames, _check_length, _integer,
-                   expand_half_spectrum, istft, make_config, num_frames, signal_length,
-                   stft)
+from .stft import (WINDOW_KINDS, _check_length, _integer, _magnitude, expand_half_spectrum,
+                   istft, make_config, num_frames, signal_length, stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -194,8 +193,7 @@ def _load_reconstruct_input(args, config):
         arr = _load_npy(path)
         if arr.ndim == 2 and arr.shape[1] == config.window_len // 2 + 1:
             arr = expand_half_spectrum(arr)
-        mag = _check_frames(np.asarray(arr, dtype=np.float64), config, "magnitude")
-        return mag, None, None, args.sr
+        return _magnitude(arr, config), None, None, args.sr
     signal, meta = audio_io.read_wav(path, downmix=args.downmix)
     spec = stft(signal, config)
     return spec.magnitude, spec.phase, signal, meta.sample_rate
@@ -389,19 +387,20 @@ def _add_config_flags(sub, command: str):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="specconsist",
+        prog="specconsist", allow_abbrev=False,
         description="Consistent-spectrogram experiments: analysis, phase "
                     "reconstruction, and loss comparison.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("analyze", help="consistency measure of a WAV file's STFT")
+    p = subs.add_parser("analyze", help="consistency measure of a WAV file's STFT",
+                        allow_abbrev=False)
     _add_config_flags(p, "analyze")
     p.add_argument("input")
     p.add_argument("--out", help="report path (default <output_dir>/report.json)")
     p.add_argument("--downmix", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = subs.add_parser("reconstruct",
+    p = subs.add_parser("reconstruct", allow_abbrev=False,
                         help="phase reconstruction from a WAV or magnitude matrix")
     _add_config_flags(p, "reconstruct")
     p.add_argument("input", help="WAV file or .npy magnitude matrix")
@@ -416,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--downmix", action="store_true")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = subs.add_parser("compare", help="loss comparison table over a WAV corpus")
+    p = subs.add_parser("compare", help="loss comparison table over a WAV corpus",
+                        allow_abbrev=False)
     _add_config_flags(p, "compare")
     p.add_argument("corpus", help="directory of WAV files")
     p.add_argument("--losses", default="ec,cos,aw",
@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results CSV path (default <output_dir>/results.csv)")
     p.set_defaults(func=cmd_compare)
 
-    p = subs.add_parser("synth", help="write a deterministic test signal")
+    p = subs.add_parser("synth", help="write a deterministic test signal",
+                        allow_abbrev=False)
     p.add_argument("kind", choices=audio_io.SYNTH_KINDS)
     p.add_argument("--sr", type=int, default=16000)
     p.add_argument("--duration", type=float, default=1.0)

@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-from .stft import (StftConfig, _add_blocks, _analyze_frames, _check_frames,
-                   _coerce_spec, _frames, _polar, _sum_squares, overlap_add)
+from .stft import (StftConfig, _add_blocks, _analyze_frames, _coerce_spec, _frames,
+                   _magnitude, _phase, _polar, _sum_squares, overlap_add)
 
 # Output frames per block of the blocked loss. At 512 bins a block of 64
 # frames and its halo fill 0.57 MB per complex array, so one block's few arrays
@@ -107,8 +106,8 @@ def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
     invariant under any global phase shift, in particular under ``phase + pi``
     (the sign ambiguity of magnitude-only reconstruction).
     """
-    mag, phase = _check_pair(mag, phase, config)
-    return loss_ec(_polar(phase, mag), config)
+    mag = _magnitude(mag, config)
+    return loss_ec(_polar(_phase(phase, mag.shape, "phase", finite=False), mag), config)
 
 
 def grad_loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
@@ -128,7 +127,9 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
     -2 * C H there and the adjoint is applied in full. A ``workspace`` lends its
     buffers, the returned gradient included; without one the arrays are fresh.
     """
-    mag, phase = _check_pair(mag, phase, config)
+    if workspace is None:  # a solver lends one, and has checked mag
+        mag = _magnitude(mag, config)
+        phase = _phase(phase, mag.shape, "phase", finite=False)
     ws = workspace or _Workspace(mag.shape, config)
     loss, u = ws.loss(_polar(phase, mag, ws.h))
     h, e = ws.h, ws.e
@@ -173,10 +174,3 @@ class _Workspace:
                     self.y[: k + self.config.overlap_factor - 1])
         return np.subtract(np.multiply(self.framed[:k], window, out=out), x, out=out)
 
-
-def _check_pair(mag, phase, config: StftConfig) -> tuple[np.ndarray, np.ndarray]:
-    mag = np.asarray(mag, dtype=np.float64)
-    phase = np.asarray(phase, dtype=np.float64)
-    if mag.shape != phase.shape:
-        raise InputError("magnitude and phase shapes differ")
-    return _check_frames(mag, config, "magnitude"), phase

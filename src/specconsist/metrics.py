@@ -13,7 +13,7 @@ import numpy as np
 from .consistency import _blocked_loss
 from .errors import InputError, MetricError
 from .stft import (Signal, StftConfig, _analyze_frames, _coerce_spec, _integer,
-                   _padded, _sum_squares, stft)
+                   _magnitude, _padded, _samples, _sum_squares, stft)
 
 DB_CLAMP = 300.0
 
@@ -65,8 +65,7 @@ def consistency_measure(spec, config: StftConfig) -> float:
 
 def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:
     """20*log10 of the relative Frobenius magnitude error, clamped to -300 dB."""
-    ref_mag = np.asarray(ref_mag, dtype=np.float64)
-    est_mag = np.asarray(est_mag, dtype=np.float64)
+    ref_mag, est_mag = _magnitude(ref_mag), _magnitude(est_mag)
     if ref_mag.shape != est_mag.shape:
         raise InputError("magnitude shapes differ")
     ref_norm = np.sqrt(_sum_squares(ref_mag))
@@ -86,14 +85,6 @@ def _shifted(est: np.ndarray, shift: int) -> np.ndarray:
     elif -est.size < shift < 0:
         out[-shift:] = est[: est.size + shift]
     return out
-
-
-def _samples(signal) -> np.ndarray:
-    """The float64 samples of a Signal or of a 1-D array."""
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError("signals must be 1-D")
-    return x
 
 
 # Screening tolerance per sample, relative to ||ref||^2 + 2|c_s| + ||est||^2.
@@ -121,7 +112,7 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     (-R, +1), can win.
     """
     radius = _integer(search_radius, "search_radius", 0)
-    ref, est = _samples(ref), _samples(est)
+    ref, est = (np.asarray(_samples(x), dtype=np.float64) for x in (ref, est))
     if ref.size != est.size:
         raise InputError("reference and estimate lengths differ")
     n = ref.size

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .stft import (StftConfig, _analyze_frames, _check_frames, _pad_signal, _polar,
+from .stft import (StftConfig, _analyze_frames, _magnitude, _pad_signal, _phase, _polar,
                    overlap_add)
 
 TWO_PI = 2.0 * np.pi
@@ -26,12 +26,6 @@ class LossReport:
     value: float
     per_frame: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _check_shapes(*arrays):
-    shapes = {np.asarray(a).shape for a in arrays}
-    if len(shapes) != 1:
-        raise InputError(f"phase-loss inputs must share one shape, got {shapes}")
 
 
 def wrap_principal(x: np.ndarray) -> np.ndarray:
@@ -74,7 +68,7 @@ def _phase_error(target: np.ndarray, unit: np.ndarray):
 
 
 def _cos_loss(t):
-    target = _polar(np.asarray(t, dtype=np.float64))
+    target = _polar(t)
 
     def step(p, unit=None, ws=None):
         cos_err, sin_err = _phase_error(target, _polar(p) if unit is None else unit)
@@ -89,9 +83,15 @@ def loss_aw(p: np.ndarray, p_est: np.ndarray) -> float:
 
 
 def aw_value_and_grad(p, p_est):
-    _check_shapes(p, p_est)
-    w = wrap_residual(p - p_est)
-    return float(np.sum(w ** 2)), -2.0 * w
+    return _evaluate("aw", p, p_est)
+
+
+def _aw_loss(t):
+    def step(p, unit=None, ws=None):
+        w = wrap_residual(t - p)
+        return float(np.sum(w ** 2)), -2.0 * w
+
+    return step
 
 
 def loss_complex(p: np.ndarray, p_est: np.ndarray, mag: np.ndarray,
@@ -109,9 +109,8 @@ def complex_value_and_grad(p, p_est, mag, norm="L2"):
 
 
 def _complex_loss(t, mag, norm):
-    _check_shapes(t, mag)
-    mag = _check_weights(mag)
-    target = _polar(np.asarray(t, dtype=np.float64))
+    mag = _magnitude(mag)
+    target = _polar(_phase(t, mag.shape, "target phase"))
     two_mag = 2.0 * mag
 
     def step(p, unit=None, ws=None):
@@ -150,10 +149,8 @@ def _time_loss(t, mag, config, norm):
     """
     if not isinstance(config, StftConfig):
         raise InputError("the time losses need the StftConfig of the phases")
-    _check_shapes(t, mag)
-    mag = _check_weights(mag)
-    t = np.asarray(t, dtype=np.float64)
-    m = _check_frames(t, config, "phase").shape[0]
+    mag = _magnitude(mag, config)
+    t, m = _phase(t, mag.shape, "target phase"), mag.shape[0]
     start = config.window_len - config.hop  # the padding ``stft`` puts first
     y_ref = overlap_add(_polar(t, mag), config).real[start:].copy()
 
@@ -180,13 +177,6 @@ def _norm_name(kind: str, norm: str) -> str:
     return f"{kind}_{norm.lower()}"
 
 
-def _check_weights(mag) -> np.ndarray:
-    mag = np.asarray(mag, dtype=np.float64)
-    if np.any(mag < 0):
-        raise InputError("magnitude weights must be nonnegative")
-    return mag
-
-
 # ---------------------------------------------------------------------------
 # phase derivatives
 
@@ -196,17 +186,16 @@ def group_delay(p: np.ndarray) -> np.ndarray:
 
     Column 0 has no left neighbour and holds wrap(P[:, 0]) itself.
     """
-    return _wrapped_diff(p, axis=1)
+    return _wrapped_diff(_phase(p, None, "phase", finite=False), axis=1)
 
 
 def inst_freq(p: np.ndarray) -> np.ndarray:
     """Wrapped backward difference along the time axis (row 0 as in group_delay)."""
-    return _wrapped_diff(p, axis=0)
+    return _wrapped_diff(_phase(p, None, "phase", finite=False), axis=0)
 
 
-def _wrapped_diff(p, axis: int) -> np.ndarray:
-    return wrap_principal(np.diff(np.asarray(p, dtype=np.float64), axis=axis,
-                                  prepend=0.0))
+def _wrapped_diff(p: np.ndarray, axis: int) -> np.ndarray:
+    return wrap_principal(np.diff(p, axis=axis, prepend=0.0))
 
 
 def loss_with_derivatives(p: np.ndarray, p_est: np.ndarray, base: str) -> float:
@@ -223,14 +212,13 @@ def derivative_value_and_grad(p, p_est, base):
 def _derivative_loss(t, base: str):
     """The base loss bound to the target, its group delay and its instantaneous
     frequency once; a step reads the iterate's phasor for the first term only."""
-    t = np.asarray(t, dtype=np.float64)
     bind = LOSSES[base][0]
-    s0, s1, s2 = (bind(x, None, None) for x in (t, group_delay(t), inst_freq(t)))
+    s0, s1, s2 = (bind(x, None, None) for x in (t, _wrapped_diff(t, 1), _wrapped_diff(t, 0)))
 
     def step(p, unit=None, ws=None):
         v0, g0 = s0(p, unit)
-        v1, g1 = s1(group_delay(p))
-        v2, g2 = s2(inst_freq(p))
+        v1, g1 = s1(_wrapped_diff(p, 1))
+        v2, g2 = s2(_wrapped_diff(p, 0))
         return v0 + v1 + v2, g0 + _diff_adjoint(g1, axis=1) + _diff_adjoint(g2, axis=0)
 
     return step
@@ -251,12 +239,13 @@ def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 
 # name -> (bind(target, mag, config), whether the loss is a plain sum over bins);
 # bind prepares what needs only the target and returns step(phase, unit, ws) ->
-# (value, grad). A solver passes unit = e^{j phase} and the ``_Workspace`` whose
-# ``loss`` it has just run on mag * unit; a step given None builds what it needs.
+# (value, grad). The caller has checked the target; a bind that takes ``mag``
+# checks it, and the target against it. A solver passes unit = e^{j phase} and
+# the ``_Workspace`` whose ``loss`` it has just run on mag * unit; a step given
+# None builds what it needs.
 LOSSES = {
     "cos": (lambda t, mag, cfg: _cos_loss(t), True),
-    "aw": (lambda t, mag, cfg: lambda p, unit=None, ws=None: aw_value_and_grad(t, p),
-           True),
+    "aw": (lambda t, mag, cfg: _aw_loss(t), True),
     "comp_l1": (lambda t, mag, cfg: _complex_loss(t, mag, "L1"), True),
     "comp_l2": (lambda t, mag, cfg: _complex_loss(t, mag, "L2"), True),
     "time_l1": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L1"), False),
@@ -278,12 +267,13 @@ def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
     """
     if name not in LOSSES:
         raise InputError(f"unknown loss {name!r}")
-    p = np.asarray(p, dtype=np.float64)
+    mag = None if mag is None else _magnitude(mag)  # also where the loss ignores it
+    p = _phase(p, None if mag is None else mag.shape, "target phase")
     p_est = np.asarray(p_est, dtype=np.float64)
     report = LossReport(name, _evaluate(name, p, p_est, mag, config)[0])
     if LOSSES[name][1]:  # a plain sum over bins
         rows = [_evaluate(name, p[i:i + 1], p_est[i:i + 1],
-                          None if mag is None else np.asarray(mag)[i:i + 1],
+                          None if mag is None else mag[i:i + 1],
                           config)[0] for i in range(p.shape[0])]
         report.per_frame = np.array(rows)
     if name.endswith("_derv"):
@@ -295,7 +285,11 @@ def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
 
 
 def _evaluate(name, p, p_est, mag=None, config=None):
-    """``name``'s (value, grad) at the one phase ``p_est``, through the table."""
-    _check_shapes(p, p_est)
-    p_est = np.asarray(p_est, dtype=np.float64)
-    return LOSSES[name][0](p, mag, config)(p_est)
+    """``name``'s (value, grad) at the one phase ``p_est``, through the table.
+
+    The target ``p`` is a phase from outside; ``p_est`` is an iterate, checked
+    for its shape only. A bind that takes ``mag`` checks it against the target.
+    """
+    p = _phase(p, None, "target phase")
+    step = LOSSES[name][0](p, mag, config)
+    return step(_phase(p_est, p.shape, "phase estimate", finite=False))

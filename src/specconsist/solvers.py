@@ -16,7 +16,7 @@ import numpy as np
 from . import phase_losses
 from .consistency import _Workspace, ec_loss_and_grad
 from .errors import DivergenceError, InputError
-from .stft import (Signal, Spectrogram, StftConfig, _check_frames, _integer, _polar,
+from .stft import (Signal, Spectrogram, StftConfig, _integer, _magnitude, _phase, _polar,
                    _real, _sum_squares, _unit_phasor, istft, signal_length)
 
 LOSSES = ("ec", *phase_losses.LOSSES)
@@ -95,16 +95,7 @@ def _initial_phase(shape, opts: SolverOptions) -> np.ndarray:
         return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=shape)
     if opts.init_phase is None:
         raise InputError(f"init {opts.init!r} requires init_phase")
-    return _check_phase(opts.init_phase, shape, "init_phase").copy()
-
-
-def _check_phase(phase, shape, name: str) -> np.ndarray:
-    phase = np.asarray(phase, dtype=np.float64)
-    if phase.shape != shape:
-        raise InputError(f"{name} shape does not match the magnitude")
-    if not np.all(np.isfinite(phase)):
-        raise InputError(f"{name} contains non-finite entries")
-    return phase
+    return _phase(opts.init_phase, shape, "init_phase").copy()
 
 
 def _step_size(k: int, opts: SolverOptions, peak_sq: float) -> float:
@@ -134,13 +125,6 @@ def _peak_square(mag: np.ndarray, opts: SolverOptions) -> float:
         raise InputError("the relative step initial_step / max(mag)**2 is not "
                          "positive and finite for this magnitude")
     return peak_sq
-
-
-def _check_magnitude(mag, config: StftConfig) -> np.ndarray:
-    mag = _check_frames(np.asarray(mag, dtype=np.float64), config, "magnitude")
-    if not np.all(np.isfinite(mag) & (mag >= 0)):
-        raise InputError("magnitude entries must be finite and nonnegative")
-    return mag
 
 
 def _normalized(loss: float, norm_sq: float) -> float:
@@ -193,7 +177,7 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     phase is its angle, and the initial phase where Z was always zero.
     """
     opts.validate()
-    mag = _check_magnitude(mag, config)
+    mag = _magnitude(mag, config)
     sig_len = signal_length(mag.shape[0], config)
     phase = _initial_phase(mag.shape, opts)
     workspace = _Workspace(mag.shape, config)
@@ -246,14 +230,14 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     opts.validate()
     if loss not in LOSSES:
         raise InputError(f"unknown loss {loss!r}; expected one of {LOSSES}")
-    mag = _check_magnitude(mag, config)
+    mag = _magnitude(mag, config)
     if loss == "ec":
         if target_phase is not None:
             raise InputError("the consistency loss never consumes a target phase")
     else:
         if target_phase is None:
             raise InputError(f"loss {loss!r} requires a target phase")
-        target_phase = _check_phase(target_phase, mag.shape, "target phase")
+        target_phase = _phase(target_phase, mag.shape, "target phase")
 
     phase = _initial_phase(mag.shape, opts)
     if loss != "ec":  # bound before the workspace exists, so their peaks never add
@@ -300,6 +284,5 @@ def reconstruct_signal(mag, phase, config: StftConfig, length: int | None = None
 
 def _spectrogram(mag, phase, config: StftConfig) -> Spectrogram:
     """``mag * exp(1j * phase)``, both checked: what ``reconstruct_signal`` inverts."""
-    mag = _check_magnitude(mag, config)
-    phase = _check_phase(phase, mag.shape, "phase")
-    return Spectrogram(_polar(phase, mag), config)
+    mag = _magnitude(mag, config)
+    return Spectrogram(_polar(_phase(phase, mag.shape, "phase"), mag), config)

@@ -59,7 +59,7 @@ class Signal:
     sample_rate: int = 1
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64).ravel()
+        self.samples = np.ascontiguousarray(_samples(self.samples), dtype=np.float64)
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise InputError("signal contains non-finite samples")
         if self.sample_rate <= 0:
@@ -193,13 +193,20 @@ def stft(signal, config: StftConfig) -> Spectrogram:
 
 def _padded(signal, config: StftConfig) -> tuple[np.ndarray, int]:
     """``stft``'s zero-padded input and frame count; ``signal`` as ``stft`` takes it."""
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
-    x = x.ravel()
+    x = _samples(signal)
     if x.size == 0:
         raise InputError("cannot compute the STFT of an empty signal")
     if not np.iscomplexobj(x):
         x = x.astype(np.float64, copy=False)  # _pad_signal copies it anyway
     return _pad_signal(x, config)
+
+
+def _samples(signal) -> np.ndarray:
+    """The samples of a Signal, or ``signal`` as an array; either must be 1-D."""
+    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
+    if x.ndim != 1:
+        raise InputError(f"a signal must be 1-D, got shape {x.shape}")
+    return x
 
 
 def _coerce_spec(spec, config: StftConfig | None) -> tuple[np.ndarray, StftConfig]:
@@ -213,12 +220,37 @@ def _coerce_spec(spec, config: StftConfig | None) -> tuple[np.ndarray, StftConfi
                          "spectrogram"), config
 
 
-def _check_frames(data: np.ndarray, config: StftConfig, what: str) -> np.ndarray:
-    """``data`` itself if it is M x N with M >= 1 and N = ``window_len``."""
-    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != config.window_len:
-        raise InputError(f"{what} must be 2-D with at least one frame of "
-                         f"{config.window_len} bins, got shape {data.shape}")
+def _check_frames(data: np.ndarray, config: StftConfig | None, what: str) -> np.ndarray:
+    """``data`` itself if it is M x N with M >= 1, and N = ``window_len`` under a config."""
+    if (data.ndim != 2 or data.shape[0] < 1
+            or config is not None and data.shape[1] != config.window_len):
+        bins = "" if config is None else f" of {config.window_len} bins"
+        raise InputError(f"{what} must be 2-D with at least one frame{bins}, "
+                         f"got shape {data.shape}")
     return data
+
+
+def _magnitude(mag, config: StftConfig | None = None) -> np.ndarray:
+    """``mag`` as float64 if it is a magnitude: frames as ``_check_frames`` takes
+    them, every entry finite and >= 0."""
+    mag = _check_frames(np.asarray(mag, dtype=np.float64), config, "magnitude")
+    if not np.all(np.isfinite(mag) & (mag >= 0)):
+        raise InputError("magnitude entries must be finite and nonnegative")
+    return mag
+
+
+def _phase(phase, shape: tuple | None, what: str, finite: bool = True) -> np.ndarray:
+    """``phase`` as float64 if it has ``shape``, its partner's (with None, frames as
+    ``_check_frames`` takes them), and is finite. An iterate is checked with ``finite``
+    off: its non-finite loss is how the solvers detect divergence."""
+    phase = np.asarray(phase, dtype=np.float64)
+    if shape is None:
+        _check_frames(phase, None, what)
+    elif phase.shape != shape:
+        raise InputError(f"{what} must have shape {shape}, got {phase.shape}")
+    if finite and not np.all(np.isfinite(phase)):
+        raise InputError(f"{what} contains non-finite entries")
+    return phase
 
 
 def _integer(value, name: str, floor: int, ceiling: int | None = None) -> int:
@@ -382,10 +414,10 @@ def compress_magnitude(spec, a: float, b: float,
     only: compression destroys consistency, so it is never applied before
     residual or consistency-loss computations.
     """
-    if not (0.0 < a <= 1.0):
-        raise InputError("compression exponent a must lie in (0, 1]")
-    if not 0.0 < b < np.inf:
-        raise InputError("compression scale b must be positive and finite")
+    a = _real(a, "compression exponent a", 0.0, inclusive=False)
+    if a > 1.0:
+        raise InputError(f"compression exponent a must lie in (0, 1], got {a!r}")
+    b = _real(b, "compression scale b", 0.0, inclusive=False)
     data, config = _coerce_spec(spec, config)
     with np.errstate(over="ignore"):
         mag = np.abs(data)

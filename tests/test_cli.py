@@ -222,6 +222,23 @@ class TestTables:
         for command in commands:
             args = parser.parse_args([command, "in", flag, text])
             assert cli._config_overrides(args) == expected
+        for command in {"analyze", "reconstruct", "compare"} - set(commands):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "in", flag, text])
+
+    @pytest.mark.parametrize("command, flag", [("compare", "--loss cos"),
+                                               ("reconstruct", "--it 2"),
+                                               ("synth", "--phase 1")])
+    def test_flags_are_spelled_in_full(self, tmp_path, capsys, command, flag):
+        # each flag is a prefix of one the subcommand takes (--losses, --iters, --phases)
+        make_wav(tmp_path / "corpus" / "a.wav")
+        inputs = {"compare": [str(tmp_path / "corpus")],
+                  "reconstruct": [str(tmp_path / "corpus" / "a.wav")],
+                  "synth": ["sine", "--freq", "440"]}
+        out = tmp_path / "out"
+        assert _exit_code([command, *inputs[command], *flag.split(), "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_section_extra_key_and_string_number(self, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -270,6 +270,13 @@ class TestCompressMagnitude:
         with pytest.raises(InputError):
             compress_magnitude(spec, a=0.5, b=-1.0)
 
+    @pytest.mark.parametrize("a, b", [(True, 1.0), (0.5, True), ("0.5", 1.0), (0.5, "1"),
+                                      (1.5, 1.0), (np.nan, 1.0), (10**400, 1.0)])
+    def test_scalars_are_finite_numbers(self, cfg_rect_4, a, b):
+        spec = Spectrogram(np.ones((1, 4), dtype=complex), cfg_rect_4)
+        with pytest.raises(InputError, match="compress"):
+            compress_magnitude(spec, a=a, b=b)
+
     @pytest.mark.parametrize("b", [np.inf, np.nan, 1e308])
     def test_non_finite_or_overflowing_scale_is_an_input_error(self, cfg_rect_4, b):
         # the suite turns warnings into errors, so none may escape first
