@@ -9,7 +9,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import AudioFormatError, InputError
-from .stft import Signal, _samples
+from .stft import Signal, _integer, _samples
 
 ENCODINGS = ("pcm16", "float32")
 # synth kind -> (the parameters it requires, the ones it may take)
@@ -99,11 +99,12 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     return 0
 
 
-def _check_sample_rate(rate: int) -> int:
-    """``rate`` if a WAV header can hold it."""
-    if not 0 < rate < 2**30:  # the header stores rate * bytes per frame in 32 bits
-        raise InputError(f"sample rate {rate} does not fit a WAV header")
-    return rate
+def _check_sample_rate(rate) -> int:
+    """``rate`` as an int if a WAV header (rate * bytes per frame in 32 bits) holds it."""
+    try:
+        return _integer(rate, "sample rate", 1, 2**30 - 1)
+    except InputError as exc:
+        raise InputError(f"{exc}, which does not fit a WAV header") from None
 
 
 def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:

@@ -90,7 +90,7 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
         raise InputError(f"unknown config keys {sorted(unknown)}")
     make_config(**resolved["stft"])
     _solver_options(resolved).validate()
-    if resolved["loss"] not in solvers.LOSSES:
+    if resolved["loss"] not in tuple(solvers.LOSSES):
         raise InputError(f"unknown loss {resolved['loss']!r}")
     if resolved["solver"]["kind"] not in SOLVER_KINDS:
         raise InputError(f"solver kind must be one of {SOLVER_KINDS}")
@@ -232,7 +232,7 @@ def cmd_reconstruct(args) -> int:
     solver_kind = cfg["solver"]["kind"]
     target_phase = None
     if args.target_phase is not None:
-        if solver_kind != "gd" or cfg["loss"] == "ec":
+        if solver_kind != "gd" or not solvers.LOSSES[cfg["loss"]][1]:
             raise InputError("--target-phase goes only with --solver gd and a "
                              "target-based loss")
         target_phase = _load_npy(args.target_phase)
@@ -301,7 +301,7 @@ def _compare_one(path: Path, loss_names, cfg, config):
     mag, clean_phase = spec.magnitude, spec.phase
     rows = []
     for loss in loss_names:
-        target = None if loss == "ec" else clean_phase
+        target = clean_phase if solvers.LOSSES[loss][1] else None
         opts = _solver_options(cfg)
         try:
             phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config)
@@ -330,10 +330,9 @@ def cmd_compare(args) -> int:
 
     header = ["file", "loss", "final_loss", "consistency_measure",
               "aligned_snr_db", "spectral_convergence_db"]
-    try:
-        threads = max(1, int(os.environ.get("SPECCONSIST_THREADS", "1")))
-    except ValueError:
-        raise InputError("SPECCONSIST_THREADS must be an integer") from None
+    text = os.environ.get("SPECCONSIST_THREADS", "1")  # _integer rejects any other string
+    threads = _integer(int(text) if text.strip().isdecimal() else text,
+                       "SPECCONSIST_THREADS", 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         per_file = list(pool.map(
             lambda p: _compare_one(p, loss_names, cfg, config), corpus))

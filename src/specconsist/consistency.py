@@ -116,29 +116,20 @@ def grad_loss_ec_phase(mag: np.ndarray, phase: np.ndarray,
     return ec_loss_and_grad(mag, phase, config)[1]
 
 
-def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray, config: StftConfig,
-                     workspace: _Workspace | None = None) -> tuple[float, np.ndarray]:
+def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
+                     config: StftConfig) -> tuple[float, np.ndarray]:
     """Loss and phase gradient from one inverse and one forward FFT per frame.
 
     With C the residual operator and H = mag * exp(1j*phase), the gradient is
     Im(conj(H) * g) for g = 2 * adjoint(C)(C H); a first-order step along the
     negative gradient matches central finite differences. The round trip is
     idempotent only away from the first and last Q-1 frames, so g differs from
-    -2 * C H there and the adjoint is applied in full. A ``workspace`` lends its
-    buffers, the returned gradient included; without one the arrays are fresh.
+    -2 * C H there and the adjoint is applied in full.
     """
-    if workspace is None:  # a solver lends one, and has checked mag
-        mag = _magnitude(mag, config)
-        phase = _phase(phase, mag.shape, "phase", finite=False)
-    ws = workspace or _Workspace(mag.shape, config)
-    loss, u = ws.loss(_polar(phase, mag, ws.h))
-    h, e = ws.h, ws.e
-    g = np.fft.fft(ws.error(e, ws.analysis_n, config.synthesis_window, u), axis=1)
-    g.imag *= h.real  # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
-    g.real *= h.imag
-    np.subtract(g.imag, g.real, out=ws.grad)
-    ws.grad *= 2.0
-    return loss, ws.grad
+    mag = _magnitude(mag, config)
+    ws = _Workspace(mag.shape, config)
+    ws.loss(_polar(_phase(phase, mag.shape, "phase", finite=False), mag, ws.h))
+    return ws.gradient()
 
 
 class _Workspace:
@@ -155,12 +146,26 @@ class _Workspace:
         self.synthesis_n = n * config.synthesis_window
         self.analysis_n = n * config.analysis_window
 
-    def loss(self, h: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(loss_ec(h), u)`` for u = ifft(h), by Parseval: N * ||e||^2 for
-        e = W * frame(y) - u, left in ``e``, with y = OLA(N*S*u) left in ``y``."""
-        u = np.fft.ifft(h, axis=1)
-        e = self.error(u, self.synthesis_n, self.config.analysis_window, self.e)
-        return self.config.window_len * _sum_squares(e), u
+    def loss(self, h: np.ndarray) -> float:
+        """``loss_ec(h)`` by Parseval: N * ||e||^2 for u = ifft(h) and e = W *
+        frame(y) - u, left in ``e``, with y = OLA(N*S*u) left in ``y``. ``h``, u
+        and the value are kept for ``gradient``."""
+        self.last_h, self.u = h, np.fft.ifft(h, axis=1)
+        e = self.error(self.u, self.synthesis_n, self.config.analysis_window, self.e)
+        self.value = self.config.window_len * _sum_squares(e)
+        return self.value
+
+    def gradient(self) -> tuple[float, np.ndarray]:
+        """``(value, grad)`` of the last ``loss`` call, whose u it overwrites:
+        ``ec_loss_and_grad`` at its H, with the gradient in ``grad``."""
+        h, e, config = self.last_h, self.e, self.config
+        g = np.fft.fft(self.error(e, self.analysis_n, config.synthesis_window, self.u),
+                       axis=1)
+        g.imag *= h.real  # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
+        g.real *= h.imag
+        np.subtract(g.imag, g.real, out=self.grad)
+        self.grad *= 2.0
+        return self.value, self.grad
 
     def error(self, x: np.ndarray, scaled: np.ndarray, window: np.ndarray,
               out: np.ndarray) -> np.ndarray:

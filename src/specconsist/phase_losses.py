@@ -109,8 +109,7 @@ def complex_value_and_grad(p, p_est, mag, norm="L2"):
 
 
 def _complex_loss(t, mag, norm):
-    mag = _magnitude(mag)
-    target = _polar(_phase(t, mag.shape, "target phase"))
+    target = _polar(t)
     two_mag = 2.0 * mag
 
     def step(p, unit=None, ws=None):
@@ -147,10 +146,6 @@ def _time_loss(t, mag, config, norm):
     just made from ``ws.h`` = mag e^{j p_est}. The target's is made here once;
     with ``ws`` None the step makes the estimate's.
     """
-    if not isinstance(config, StftConfig):
-        raise InputError("the time losses need the StftConfig of the phases")
-    mag = _magnitude(mag, config)
-    t, m = _phase(t, mag.shape, "target phase"), mag.shape[0]
     start = config.window_len - config.hop  # the padding ``stft`` puts first
     y_ref = overlap_add(_polar(t, mag), config).real[start:].copy()
 
@@ -164,7 +159,7 @@ def _time_loss(t, mag, config, norm):
             value, rho = float(np.sum(np.abs(diff))), -np.sign(diff)
         # Pull rho back through the synthesis: pad it as ``stft`` pads a signal
         # and analyze with the synthesis window at the same m frame positions.
-        u = _analyze_frames(_pad_signal(rho, config)[0], config, m,
+        u = _analyze_frames(_pad_signal(rho, config)[0], config, mag.shape[0],
                             window=config.synthesis_window)
         return value, u.imag * h.real - u.real * h.imag  # -Im(conj(u) * h)
 
@@ -239,10 +234,8 @@ def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 
 # name -> (bind(target, mag, config), whether the loss is a plain sum over bins);
 # bind prepares what needs only the target and returns step(phase, unit, ws) ->
-# (value, grad). The caller has checked the target; a bind that takes ``mag``
-# checks it, and the target against it. A solver passes unit = e^{j phase} and
-# the ``_Workspace`` whose ``loss`` it has just run on mag * unit; a step given
-# None builds what it needs.
+# (value, grad) as ``solvers.LOSSES`` describes; a step given None builds what it
+# needs. A bind trusts its caller to have checked every array (see ``_checked``).
 LOSSES = {
     "cos": (lambda t, mag, cfg: _cos_loss(t), True),
     "aw": (lambda t, mag, cfg: _aw_loss(t), True),
@@ -267,29 +260,35 @@ def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
     """
     if name not in LOSSES:
         raise InputError(f"unknown loss {name!r}")
-    mag = None if mag is None else _magnitude(mag)  # also where the loss ignores it
-    p = _phase(p, None if mag is None else mag.shape, "target phase")
-    p_est = np.asarray(p_est, dtype=np.float64)
-    report = LossReport(name, _evaluate(name, p, p_est, mag, config)[0])
-    if LOSSES[name][1]:  # a plain sum over bins
-        rows = [_evaluate(name, p[i:i + 1], p_est[i:i + 1],
-                          None if mag is None else mag[i:i + 1],
-                          config)[0] for i in range(p.shape[0])]
-        report.per_frame = np.array(rows)
+    p, p_est, mag = _checked(name, p, p_est, mag, config)
+    bind, plain_sum = LOSSES[name]
+    report = LossReport(name, bind(p, mag, config)(p_est)[0])
+    if plain_sum:
+        rows = [(p[i:i + 1], p_est[i:i + 1], None if mag is None else mag[i:i + 1])
+                for i in range(p.shape[0])]
+        report.per_frame = np.array([bind(t, a, config)(e)[0] for t, e, a in rows])
     if name.endswith("_derv"):
-        base = name.removesuffix("_derv")
-        freq_edge = _evaluate(base, group_delay(p)[:, :1], group_delay(p_est)[:, :1])
-        time_edge = _evaluate(base, inst_freq(p)[:1], inst_freq(p_est)[:1])
-        report.diagnostics["boundary_contribution"] = freq_edge[0] + time_edge[0]
+        base = LOSSES[name.removesuffix("_derv")][0]
+        freq = [_wrapped_diff(x, 1)[:, :1] for x in (p, p_est)]
+        time = [_wrapped_diff(x, 0)[:1] for x in (p, p_est)]
+        report.diagnostics["boundary_contribution"] = (
+            base(freq[0], None, None)(freq[1])[0] + base(time[0], None, None)(time[1])[0])
     return report
 
 
 def _evaluate(name, p, p_est, mag=None, config=None):
-    """``name``'s (value, grad) at the one phase ``p_est``, through the table.
+    """``name``'s (value, grad) at the one phase ``p_est``, through the table."""
+    p, p_est, mag = _checked(name, p, p_est, mag, config)
+    return LOSSES[name][0](p, mag, config)(p_est)
 
-    The target ``p`` is a phase from outside; ``p_est`` is an iterate, checked
-    for its shape only. A bind that takes ``mag`` checks it against the target.
-    """
-    p = _phase(p, None, "target phase")
-    step = LOSSES[name][0](p, mag, config)
-    return step(_phase(p_est, p.shape, "phase estimate", finite=False))
+
+def _checked(name, p, p_est, mag, config):
+    """``(p, p_est, mag)`` of a one-shot call, each checked once: the target as a
+    phase from outside, ``p_est`` as an iterate, ``mag`` where given or read."""
+    kind = name.split("_")[0]
+    if kind == "time" and not isinstance(config, StftConfig):
+        raise InputError("the time losses need the StftConfig of the phases")
+    if mag is not None or kind in ("comp", "time"):
+        mag = _magnitude(mag, config if kind == "time" else None)
+    p = _phase(p, None if mag is None else mag.shape, "target phase")
+    return p, _phase(p_est, p.shape, "phase estimate", finite=False), mag

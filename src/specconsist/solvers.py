@@ -14,12 +14,17 @@ from itertools import count
 import numpy as np
 
 from . import phase_losses
-from .consistency import _Workspace, ec_loss_and_grad
+from .consistency import _Workspace
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _integer, _magnitude, _phase, _polar,
                    _real, _sum_squares, _unit_phasor, istft, signal_length)
 
-LOSSES = ("ec", *phase_losses.LOSSES)
+# name -> (bind(target, mag, config) -> step(phase, unit, ws), takes_target). A
+# step returns (value, grad) at the phase whose unit phasor is ``unit``, reading
+# the ``_Workspace`` ``ws`` whose ``loss`` the loop has just run on mag * unit.
+# ``ec`` alone takes no target: its step is that call's value and gradient.
+LOSSES = {"ec": (lambda target, mag, config: lambda phase, unit, ws: ws.gradient(), False),
+          **{name: (bind, True) for name, (bind, _) in phase_losses.LOSSES.items()}}
 INITS = ("zeros", "random_uniform", "provided")
 STEP_RULES = ("fixed", "cosine_anneal", "relative")
 PARAMETERIZATIONS = ("direct_phase", "c1_c2")
@@ -206,7 +211,7 @@ def _project(ws: _Workspace, h, sig_len: int):
     re-analyzes the ``sig_len`` samples that ``istft`` keeps of its real part,
     zero-padded where ``stft`` pads them.
     """
-    loss, config, y = ws.loss(h)[0], ws.config, ws.y.ravel()
+    loss, config, y = ws.loss(h), ws.config, ws.y.ravel()
     start = config.window_len - config.hop
     y.real[:start] = 0.0
     y.real[start + sig_len:] = 0.0
@@ -218,31 +223,26 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
                    config: StftConfig) -> tuple[np.ndarray, SolveTrace]:
     """Gradient descent on the chosen loss over the selected parameterization.
 
-    The consistency loss ``ec`` forbids a target phase (it measures only
-    magnitude-phase consistency); every other loss requires one. ``_solve`` runs
-    the loop; this returns the lowest-loss iterate. Each iteration builds
-    H = mag e^{jP} once; any loss's measure is ``loss_ec(H)`` by Parseval. Any
-    other loss builds the unit phasor e^{jP} once, H = mag e^{jP} from it, and
-    reads both: a target loss forms cos and sin of the phase error from the
-    phasors, and a time loss takes the estimate's signal from the measure's
-    overlap-add.
+    A target phase goes with exactly the losses that take one (``LOSSES``).
+    ``_solve`` runs the loop; this returns the lowest-loss iterate. Each iteration
+    builds e^{jP} once, H = mag e^{jP} from it and the measure ``loss_ec(H)``; the
+    loss's step reads all three (``ec``'s is the measure and its gradient).
     """
     opts.validate()
-    if loss not in LOSSES:
-        raise InputError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    if loss not in tuple(LOSSES):  # an unhashable loss is unknown too
+        raise InputError(f"unknown loss {loss!r}; expected one of {tuple(LOSSES)}")
+    bind, takes_target = LOSSES[loss]
     mag = _magnitude(mag, config)
-    if loss == "ec":
-        if target_phase is not None:
-            raise InputError("the consistency loss never consumes a target phase")
-    else:
+    if takes_target:
         if target_phase is None:
             raise InputError(f"loss {loss!r} requires a target phase")
         target_phase = _phase(target_phase, mag.shape, "target phase")
+    elif target_phase is not None:
+        raise InputError(f"loss {loss!r} never consumes a target phase")
 
     phase = _initial_phase(mag.shape, opts)
-    if loss != "ec":  # bound before the workspace exists, so their peaks never add
-        loss_step = phase_losses.LOSSES[loss][0](target_phase, mag, config)
-        unit = np.empty(mag.shape, complex)
+    loss_step = bind(target_phase, mag, config)  # before the workspace: peaks never add
+    unit = np.empty(mag.shape, complex)
     workspace = _Workspace(mag.shape, config)
     best_loss, best_phase = np.inf, phase.copy()
 
@@ -255,13 +255,9 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
         for k in count():
             if use_c1c2:
                 phase = np.arctan2(c1, c2)
-            if loss == "ec":
-                value, grad = ec_loss_and_grad(mag, phase, config, workspace)
-                ec = value
-            else:
-                _polar(phase, out=unit)
-                ec = workspace.loss(np.multiply(unit, mag, out=workspace.h))[0]
-                value, grad = loss_step(phase, unit, workspace)
+            _polar(phase, out=unit)
+            ec = workspace.loss(np.multiply(unit, mag, out=workspace.h))
+            value, grad = loss_step(phase, unit, workspace)
             step = _step_size(k, opts, peak_sq)
             if value < best_loss:  # false for NaN and +inf; no loss is -inf
                 best_loss, best_phase, trace.best_iteration = value, phase.copy(), k

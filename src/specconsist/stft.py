@@ -62,8 +62,7 @@ class Signal:
         self.samples = np.ascontiguousarray(_samples(self.samples), dtype=np.float64)
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise InputError("signal contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise InputError("sample_rate must be positive")
+        self.sample_rate = _integer(self.sample_rate, "sample_rate", 1)
 
     def __len__(self):
         return self.samples.size

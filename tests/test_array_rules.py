@@ -166,6 +166,43 @@ def test_a_signal_is_one_d(tmp_path, call):
     assert not path.exists()
 
 
+# name -> f(mag, target, p_est) -> the array arguments it passed, for every
+# public one-shot form of a phase loss
+ONE_SHOT_LOSSES = {
+    "loss_cos": lambda a, t, p: (pl.loss_cos(t, p), (t, p)),
+    "cos_value_and_grad": lambda a, t, p: (pl.cos_value_and_grad(t, p), (t, p)),
+    "loss_aw": lambda a, t, p: (pl.loss_aw(t, p), (t, p)),
+    "aw_value_and_grad": lambda a, t, p: (pl.aw_value_and_grad(t, p), (t, p)),
+    "loss_complex": lambda a, t, p: (pl.loss_complex(t, p, a, "L1"), (t, p, a)),
+    "complex_value_and_grad": lambda a, t, p: (pl.complex_value_and_grad(t, p, a),
+                                               (t, p, a)),
+    "loss_time": lambda a, t, p: (pl.loss_time(t, p, a, CFG, "L1"), (t, p, a)),
+    "time_value_and_grad": lambda a, t, p: (pl.time_value_and_grad(t, p, a, CFG),
+                                            (t, p, a)),
+    "loss_with_derivatives": lambda a, t, p: (pl.loss_with_derivatives(t, p, "aw"),
+                                              (t, p)),
+    "derivative_value_and_grad": lambda a, t, p: (
+        pl.derivative_value_and_grad(t, p, "cos"), (t, p)),
+    "loss_report_no_mag": lambda a, t, p: (pl.loss_report("cos_derv", t, p), (t, p)),
+    **{f"loss_report_{name}": (lambda name: lambda a, t, p: (
+        pl.loss_report(name, t, p, a, CFG), (t, p, a)))(name) for name in pl.LOSSES},
+}
+
+
+@pytest.mark.parametrize("name", ONE_SHOT_LOSSES)
+def test_a_one_shot_loss_checks_each_array_once(monkeypatch, name):
+    checked = []  # no stft function that a loss calls applies a rule itself
+    for rule in ("_magnitude", "_phase"):
+        original = getattr(pl, rule)
+        monkeypatch.setattr(pl, rule, lambda x, *args, _rule=original, **kwargs: (
+            checked.append(id(x)), _rule(x, *args, **kwargs))[1])
+    rng = np.random.default_rng(3)
+    mag = rng.uniform(0.0, 1.0, (6, 64))
+    target, iterate = rng.uniform(-np.pi, np.pi, (2, 6, 64))
+    _, arrays = ONE_SHOT_LOSSES[name](mag, target, iterate)
+    assert sorted(checked) == sorted(map(id, arrays))
+
+
 @pytest.mark.parametrize("loss", solvers.LOSSES)
 def test_no_check_runs_inside_a_solver_iteration(monkeypatch, loss):
     calls = []

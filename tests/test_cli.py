@@ -200,6 +200,40 @@ class TestTables:
                 sc.SolverOptions(max_iters=2), cfg_64_16)
             assert np.all(np.isfinite(trace.losses))
 
+    @pytest.mark.parametrize("name", list(solvers.LOSSES))
+    def test_the_target_rule_comes_from_the_loss_table(self, tmp_path, monkeypatch,
+                                                       cfg_64_16, name):
+        takes_target = solvers.LOSSES[name][1]
+        rng = np.random.default_rng(0)
+        mag = rng.uniform(0, 1, (4, 64))
+        for target in (None, rng.uniform(-np.pi, np.pi, (4, 64))):
+            run = lambda: solvers.gd_reconstruct(mag, name, target,
+                                                 sc.SolverOptions(max_iters=2), cfg_64_16)
+            if (target is not None) == takes_target:
+                run()
+            else:
+                with pytest.raises(sc.InputError, match="target phase"):
+                    run()
+
+        flag = name.replace("_", "-")
+        corpus, out = tmp_path / "corpus", tmp_path / "run"
+        corpus.mkdir()
+        make_wav(corpus / "a.wav")
+        np.save(tmp_path / "p.npy", stft(sc.read_wav(corpus / "a.wav")[0],
+                                         sc.make_config(256, 64)).phase)
+        code = cli.main(["reconstruct", str(corpus / "a.wav"), "--solver", "gd",
+                         "--loss", flag, "--target-phase", str(tmp_path / "p.npy"),
+                         "--iters", "2", "--out", str(out)] + STFT_FLAGS)
+        assert code == (cli.EXIT_OK if takes_target else cli.EXIT_INPUT)
+        assert out.exists() == takes_target
+
+        targets, solve = [], solvers.gd_reconstruct
+        monkeypatch.setattr(solvers, "gd_reconstruct", lambda mag, loss, target, *rest: (
+            targets.append(target is not None), solve(mag, loss, target, *rest))[1])
+        assert cli.main(["compare", str(corpus), "--losses", flag, "--iters", "2",
+                         "--out", str(tmp_path / "r.csv")] + STFT_FLAGS) == cli.EXIT_OK
+        assert targets == [takes_target]
+
     @pytest.mark.parametrize("flag", list(cli.CONFIG_FLAGS))
     def test_every_config_flag_sets_its_config_key(self, flag):
         path, commands, keywords = cli.CONFIG_FLAGS[flag]
@@ -760,7 +794,7 @@ class TestCompare:
         assert "b0.wav" in capsys.readouterr().err
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("threads", ["x", "2.5", ""])
+    @pytest.mark.parametrize("threads", ["x", "2.5", "", "0", "-1"])
     def test_malformed_thread_count_is_input_error(self, tmp_path, monkeypatch,
                                                    capsys, threads):
         corpus = self._make_corpus(tmp_path)
@@ -938,7 +972,7 @@ def _config_files(draw):
         if _rarely(draw):
             cfg[section].update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES,
                                                      max_size=1)))
-    for key, good in (("loss", st.sampled_from(solvers.LOSSES)),
+    for key, good in (("loss", st.sampled_from(tuple(solvers.LOSSES))),
                       ("seed", st.integers(0, 9))):
         if draw(st.booleans()):
             cfg[key] = draw(_JSON_VALUES if _rarely(draw) else good)

@@ -303,9 +303,18 @@ class TestSignal:
         with pytest.raises(InputError):
             Signal(np.array([0.0, np.inf]))
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(InputError):
-            Signal(np.zeros(4), sample_rate=0)
+    def test_rejects_bad_rate(self, tmp_path):
+        # A rate is an integer >= 1: never a string, a fraction or a bool.
+        for rate in (0, -8000, "8000", 8000.5, True):
+            with pytest.raises(InputError, match="sample_rate must be an integer"):
+                Signal(np.zeros(4), sample_rate=rate)
+        assert Signal(np.zeros(4), sample_rate=8000.0).sample_rate == 8000
+        path = tmp_path / "x.wav"
+        for rate in ("8000", 8000.5, True):
+            meta = specconsist.WavMeta(rate, 1, "float32", 4)
+            with pytest.raises(InputError, match="does not fit a WAV header"):
+                specconsist.write_wav(np.full(4, 0.1), meta, path)
+        assert not path.exists()
 
 
 class TestSpectrogramInvariants:
