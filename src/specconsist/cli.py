@@ -13,8 +13,10 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -199,15 +201,37 @@ def _load_reconstruct_input(args, config):
     return spec.magnitude, spec.phase, signal, meta.sample_rate
 
 
+# .npy format version -> its header reader. 3.0 differs from 2.0 only in a UTF-8
+# header, which only the field names of structured dtypes need.
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0,
+                (3, 0): np.lib.format.read_array_header_2_0}
+
+
 def _load_npy(path) -> np.ndarray:
-    """A real numeric array from a .npy file; pickled objects are never loaded."""
-    try:
-        arr = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise InputError(f"{path} is not a readable .npy array: {exc}") from None
-    if arr.dtype.kind not in "biuf":
-        raise InputError(f"{path} must hold a real numeric array, not {arr.dtype}")
-    return arr
+    """A real numeric array from a .npy file; pickled objects are never loaded.
+
+    The header's shape and dtype must account for exactly the bytes after it,
+    checked before anything is allocated.
+    """
+    with open(path, "rb") as fh:
+        try:
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            if read_header is None:
+                raise ValueError("unsupported .npy format version")
+            shape, _, dtype = read_header(fh)
+            if dtype.kind not in "biuf":
+                raise InputError(f"{path} must hold a real numeric array, not {dtype}")
+            size = math.prod(shape) * dtype.itemsize
+            if size != os.fstat(fh.fileno()).st_size - fh.tell():
+                raise ValueError(f"its header claims shape {shape} of {dtype} "
+                                 f"({size} bytes), which the file does not hold")
+            fh.seek(0)
+            return np.load(fh, allow_pickle=False)
+        # numpy's header parser lets a TypeError escape on keys of mixed types, and
+        # a TokenError from its retry for headers that Python 2 wrote.
+        except (ValueError, EOFError, TypeError, tokenize.TokenError) as exc:
+            raise InputError(f"{path} is not a readable .npy array: {exc}") from None
 
 
 def cmd_reconstruct(args) -> int:

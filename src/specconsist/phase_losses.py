@@ -258,7 +258,7 @@ def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
     frequency differences, row 0 of the time differences), which has no left
     neighbour and is reported separately.
     """
-    if name not in LOSSES:
+    if name not in tuple(LOSSES):  # an unhashable name is unknown too
         raise InputError(f"unknown loss {name!r}")
     p, p_est, mag = _checked(name, p, p_est, mag, config)
     bind, plain_sum = LOSSES[name]

@@ -1,9 +1,41 @@
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 import specconsist as sc
+from specconsist import audio_io
 from specconsist.audio_io import WavMeta, read_wav, synth, write_wav
+
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def riff(chunks, form=b"RIFF", order="<") -> bytes:
+    """A RIFF (or, with ``form`` and ``order``, RIFX) WAVE file of ``(chunk id,
+    body)`` pairs, each odd-sized body followed by its pad byte."""
+    body = b"WAVE" + b"".join(struct.pack(order + "4sI", cid, len(data)) + data
+                              + b"\x00" * (len(data) % 2) for cid, data in chunks)
+    return form + struct.pack(order + "I", len(body)) + body
+
+
+def fmt_chunk(tag=1, channels=1, rate=8000, bits=16, order="<", block_align=None,
+              byte_rate=None) -> bytes:
+    """A fmt chunk body, its block align and byte rate derived unless given."""
+    block_align = channels * bits // 8 if block_align is None else block_align
+    byte_rate = rate * block_align if byte_rate is None else byte_rate
+    return struct.pack(order + "HHIIHH", tag, channels, rate, byte_rate, block_align,
+                       bits)
+
+
+def extensible_fmt(subformat, channels, bits, cb_size=22) -> bytes:
+    """WAVE_FORMAT_EXTENSIBLE: cbSize, valid bits, channel mask, subformat GUID."""
+    return (fmt_chunk(0xFFFE, channels, 8000, bits)
+            + struct.pack("<HHII", cb_size, bits, 0, subformat) + GUID_TAIL)
 
 
 class TestReadWav:
@@ -53,6 +85,134 @@ class TestReadWav:
         path.write_bytes(b"this is not a RIFF container at all")
         with pytest.raises(sc.AudioFormatError):
             read_wav(path)
+
+
+def scipy_read(path):
+    """``wavfile.read`` as (rate, frames x channels samples)."""
+    rate, data = wavfile.read(path)
+    return rate, data.reshape(len(data), -1)
+
+
+def as_signal(data, encoding):
+    """What read_wav must return for ``data`` (frames x channels), downmixed."""
+    x = data.astype(np.float64)
+    if encoding == "pcm16":
+        x = x / 32768.0
+    return x.mean(axis=1) if x.shape[1] > 1 else x.ravel()
+
+
+class TestScipyOracle:
+    """The codec against scipy.io.wavfile, which it replaced: the same bytes
+    written, the same samples read."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_write_wav_writes_scipys_bytes(self, tmp_path, rng, encoding, n):
+        if encoding == "pcm16":  # samples k/32768 quantize to exactly k
+            data = rng.integers(-32768, 32768, n).astype(np.int16)
+            x = data / 32768.0
+        else:
+            data = rng.standard_normal(n).astype(np.float32)
+            x = data.astype(np.float64)
+        write_wav(sc.Signal(x, 16000), WavMeta(16000, 1, encoding, n), tmp_path / "a.wav")
+        wavfile.write(tmp_path / "b.wav", 16000, data)
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_reads_and_lays_out_what_scipy_does(self, tmp_path, rng, encoding,
+                                                channels, n):
+        dtype = np.int16 if encoding == "pcm16" else np.float32
+        data = (rng.standard_normal((n, channels)) * 3000).astype(dtype)
+        path = tmp_path / "s.wav"
+        wavfile.write(path, 8000, data if channels > 1 else data.ravel())
+        assert path.read_bytes() == (audio_io._header(8000, channels, n, encoding)
+                                     + data.tobytes())
+        rate, expected = scipy_read(path)
+        got_rate, got_encoding, got = audio_io._decode(path.read_bytes(), path)
+        assert (got_rate, got_encoding, got.dtype) == (rate, encoding, expected.dtype)
+        np.testing.assert_array_equal(got, expected)
+        signal, meta = read_wav(path, downmix=True)
+        np.testing.assert_array_equal(signal.samples, as_signal(expected, encoding))
+        assert meta == WavMeta(8000, 1, encoding, n)
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_an_unknown_odd_sized_chunk_and_its_pad_byte_are_skipped(self, tmp_path,
+                                                                     where):
+        data = np.arange(-5, 6, dtype=np.int16)
+        chunks = [(b"fmt ", fmt_chunk()), (b"data", data.tobytes())]
+        chunks.insert(where, (b"abcd", b"\x01\x02\x03"))
+        path = tmp_path / "odd.wav"
+        path.write_bytes(riff(chunks))
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            _, expected = scipy_read(path)
+        np.testing.assert_array_equal(expected.ravel(), data)
+        np.testing.assert_array_equal(read_wav(path)[0].samples, data / 32768.0)
+
+    @pytest.mark.parametrize("encoding, tag", [("pcm16", 1), ("float32", 3)])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_wave_format_extensible(self, tmp_path, rng, encoding, tag, channels):
+        dtype = np.dtype("<i2" if encoding == "pcm16" else "<f4")
+        data = (rng.standard_normal((9, channels)) * 100).astype(dtype)
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff([(b"fmt ", extensible_fmt(tag, channels, 8 * dtype.itemsize)),
+                               (b"data", data.tobytes())]))
+        _, expected = scipy_read(path)
+        np.testing.assert_array_equal(expected, data)
+        signal, meta = read_wav(path, downmix=True)
+        np.testing.assert_array_equal(signal.samples, as_signal(data, encoding))
+        assert meta.encoding == encoding
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, specconsist; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+# name -> the bytes of a file read_wav must reject as an AudioFormatError
+_PCM = np.arange(8, dtype=np.int16).tobytes()
+MALFORMED_WAVS = {
+    "cut inside fmt": riff([(b"fmt ", fmt_chunk()), (b"data", _PCM)])[:20],
+    "zero channels": riff([(b"fmt ", fmt_chunk(channels=0, block_align=2)),
+                           (b"data", _PCM)]),
+    "data past the end": riff([(b"fmt ", fmt_chunk()), (b"data", _PCM)])[:-2],
+    "no data chunk": riff([(b"fmt ", fmt_chunk())]),
+    "data before fmt": riff([(b"data", _PCM), (b"fmt ", fmt_chunk())]),
+    "short fmt": riff([(b"fmt ", fmt_chunk()[:14]), (b"data", _PCM)]),
+    "block align": riff([(b"fmt ", fmt_chunk(block_align=4)), (b"data", _PCM)]),
+    "byte rate": riff([(b"fmt ", fmt_chunk(byte_rate=1)), (b"data", _PCM)]),
+    "partial frame": riff([(b"fmt ", fmt_chunk(channels=2)), (b"data", _PCM[:6])]),
+    "8-bit": riff([(b"fmt ", fmt_chunk(bits=8)), (b"data", _PCM)]),
+    "float64": riff([(b"fmt ", fmt_chunk(3, bits=64)), (b"data", _PCM)]),
+    "unknown subformat": riff([(b"fmt ", extensible_fmt(2, 1, 16)), (b"data", _PCM)]),
+    "no extension": riff([(b"fmt ", extensible_fmt(1, 1, 16, cb_size=0)),
+                          (b"data", _PCM)]),
+    "rf64": b"RF64" + riff([(b"fmt ", fmt_chunk()), (b"data", _PCM)])[4:],
+    "rifx": riff([(b"fmt ", fmt_chunk(order=">")), (b"data", _PCM)], b"RIFX", ">"),
+    "chunk past the end": riff([(b"fmt ", fmt_chunk())])
+    + struct.pack("<4sI", b"LIST", 99) + _PCM,
+}
+
+
+class TestMalformedWav:
+    @pytest.mark.parametrize("name", MALFORMED_WAVS)
+    def test_rejected_at_the_boundary(self, tmp_path, name):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(MALFORMED_WAVS[name])
+        with pytest.raises(sc.AudioFormatError):
+            read_wav(path, downmix=True)
+
+    def test_the_file_after_the_data_chunk_is_not_read(self, tmp_path):
+        path = tmp_path / "tail.wav"
+        path.write_bytes(riff([(b"fmt ", fmt_chunk()), (b"data", _PCM)])
+                         + b"LIST\xff\xff")
+        np.testing.assert_array_equal(read_wav(path)[0].samples,
+                                      np.arange(8) / 32768.0)
 
 
 class TestWriteWav:
@@ -113,6 +273,14 @@ class TestWriteWav:
         path = tmp_path / "e.wav"
         write_wav(sc.Signal([edge, -edge, 0.0]), WavMeta(8000, 1, "float32", 3), path)
         np.testing.assert_array_equal(read_wav(path)[0].samples, [edge, -edge, 0.0])
+
+    # A zero-stride view stands for the samples, so nothing large is allocated.
+    @pytest.mark.parametrize("encoding, n", [("float32", 2**30), ("pcm16", 2**31 - 18)])
+    def test_beyond_a_riff_files_4_gib_creates_nothing(self, tmp_path, encoding, n):
+        path = tmp_path / "new" / "big.wav"
+        with pytest.raises(sc.InputError, match="4 GiB"):
+            write_wav(np.broadcast_to(0.0, (n,)), WavMeta(8000, 1, encoding, n), path)
+        assert not path.parent.exists()
 
     def test_creates_missing_parent_directories(self, tmp_path):
         path = tmp_path / "a" / "b" / "s.wav"

@@ -18,6 +18,7 @@ from specconsist import audio_io, cli, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, _polar, signal_length, stft
 
+from test_audio_io import MALFORMED_WAVS
 from test_solvers import reference_gla_inconsistency, reference_griffin_lim
 
 
@@ -338,6 +339,17 @@ class TestAnalyze:
         assert cli.main(["analyze", str(wav), "--out", str(out)]) == cli.EXIT_INPUT
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+    @pytest.mark.parametrize("name", MALFORMED_WAVS)
+    def test_malformed_wav_is_input_error_and_writes_nothing(self, tmp_path, capsys,
+                                                             command, name):
+        wav, out = tmp_path / "bad.wav", tmp_path / "run"
+        wav.write_bytes(MALFORMED_WAVS[name])
+        code = cli.main([command, str(wav), "--downmix", "--out", str(out)])
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_stereo_wav_with_downmix(self, tmp_path):
         wav, out = tmp_path / "st.wav", tmp_path / "report.json"
         data = np.random.default_rng(3).uniform(-0.5, 0.5, (2000, 2)).astype(np.float32)
@@ -522,6 +534,21 @@ class TestReconstruct:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["eval"] is None  # no reference available
 
+    # A header in format 2.0 or 3.0 (which np.save writes only when it must) is
+    # format 1.0's with a 4-byte length; for a float64 array all are ASCII.
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_every_npy_format_version_loads(self, tmp_path, version):
+        mag = np.abs(np.random.default_rng(2).standard_normal((6, 256)))
+        with open(tmp_path / "mag.npy", "wb") as fh:
+            write = (np.lib.format.write_array_header_1_0 if version == 1
+                     else np.lib.format.write_array_header_2_0)
+            write(fh, np.lib.format.header_data_from_array_1_0(mag))
+            fh.write(mag.tobytes())
+        data = bytearray((tmp_path / "mag.npy").read_bytes())
+        data[6] = version
+        (tmp_path / "mag.npy").write_bytes(data)
+        np.testing.assert_array_equal(cli._load_npy(tmp_path / "mag.npy"), mag)
+
     def test_half_band_matrix_expanded(self, tmp_path):
         config = sc.make_config(256, 64, "hann")
         signal = sc.synth("sine", {"freq": 500.0, "amp": 0.4}, 8000, 0.25)
@@ -588,6 +615,26 @@ class TestReconstruct:
         if content == "100 bins":  # shape errors come from stft's own check
             assert ("magnitude must be 2-D with at least one frame of 256 bins, "
                     "got shape (6, 100)") in capsys.readouterr().err
+
+    # np.load would allocate the shape the header claims before reading a byte.
+    @pytest.mark.parametrize("role", ["magnitude", "--init-phase", "--target-phase"])
+    def test_npy_header_claiming_more_than_the_file_is_input_error(self, tmp_path,
+                                                                   capsys, role):
+        big, out = tmp_path / "big.npy", tmp_path / "run"
+        with open(big, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"shape": (10**9, 512), "fortran_order": False, "descr": "<f8"})
+            fh.write(bytes(64))
+        argv = ["reconstruct", str(big), "--loss", "cos", "--iters", "1",
+                "--out", str(out)]
+        if role != "magnitude":
+            make_wav(tmp_path / "in.wav")
+            argv[1:2] = [str(tmp_path / "in.wav"), role, str(big)]
+            if role == "--init-phase":
+                argv += ["--init", "provided"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "(1000000000, 512) of float64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", ["gd", "gla"])
     @pytest.mark.parametrize("frames", [2, 3])

@@ -370,6 +370,11 @@ class TestLossReport:
         with pytest.raises(sc.InputError):
             pl.loss_cos(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("name", [[], {}, "ec", "cos-derv", None, 3])
+    def test_a_name_outside_the_table_is_input_error(self, name):
+        with pytest.raises(sc.InputError, match="unknown loss"):
+            pl.loss_report(name, np.zeros((2, 4)), np.zeros((2, 4)))
+
     def test_derivative_report_carries_boundary_diagnostics(self, rng):
         p = rng.uniform(-np.pi, np.pi, (6, 8))
         q = rng.uniform(-np.pi, np.pi, (6, 8))
