@@ -180,6 +180,7 @@ def cmd_analyze(args) -> int:
             "frames": frames,
             "bins": config.window_len,
         },
+        "environment": _environment(),
     }
     out = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "report.json"
     _write_report(out, report)

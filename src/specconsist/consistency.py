@@ -38,6 +38,12 @@ the same frames in the same order); the halo rows, which lack their outer
 neighbours, are dropped. So the blocked loss is the full ``N * ||e||^2`` with
 only the float additions regrouped. ``residual`` stays the definition of C
 that the tests check it against; the tests keep its window-swapped adjoint.
+
+The measure of a real signal's STFT goes through the half spectrum in real
+arithmetic. Its H is Hermitian, so each block takes ``rfft`` of the windowed
+frames and ``u = irfft`` of those N/2+1 bins at length N: u is real, and so
+are e and the overlap-add. By Parseval ``||H||^2`` is ``N * ||u||^2``. A
+spectrogram, which need not be Hermitian, keeps the complex ``ifft``.
 """
 
 from __future__ import annotations
@@ -49,11 +55,12 @@ from .stft import (StftConfig, _add_blocks, _analyze_frames, _coerce_spec, _fram
 
 # Output frames per block of the blocked loss. At 512 bins a block of 64
 # frames and its halo fill 0.57 MB per complex array, so one block's few arrays
-# stay in a 2 MiB L2. At 3753x512 (Hann 512/128, 2-CPU host, median of 15),
-# blocks of 64 to 512 frames took the same time (`loss_ec` 22 ms, the measure
-# of a signal 34-35 ms); at 32 the signal measure took 43 ms. The signal
-# measure's allocation peak grows with the block (6.1, 8.0, 11.8 and 19.4 MB
-# at 32, 64, 128 and 256 frames), so 64 is the smallest of the fast ones.
+# stay in a 2 MiB L2. At 3753x512 (Hann 512/128, 2-CPU AVX-512 host, medians of
+# 15, two runs), blocks of 64 to 256 frames took about the same time (`loss_ec`
+# 30-32 ms, the real measure of a signal 28-37 ms); at 32 the signal measure
+# took 34 ms and `loss_ec` 32-36 ms. The signal measure's allocation peak grows
+# with the block (5.0, 6.0, 7.9, 11.7 and 19.3 MB at 32, 64, 128, 256 and 512
+# frames), so 64 is the smallest of the fast ones.
 _BLOCK = 64
 
 
@@ -72,29 +79,32 @@ def residual(spec, config: StftConfig) -> np.ndarray:
 def loss_ec(spec, config: StftConfig) -> float:
     """Sum of squared residual magnitudes (unnormalized)."""
     data = _coerce_spec(spec, config)[0]
-    return _blocked_loss(lambda lo, hi: data[lo:hi], data.shape[0], config)[0]
+    rows = lambda lo, hi, own: (np.fft.ifft(data[lo:hi], axis=1), 0.0)
+    return _blocked_loss(rows, data.shape[0], config)[0]
 
 
-def _blocked_loss(rows, m: int, config: StftConfig,
-                  energy: bool = False) -> tuple[float, float]:
-    """``(loss_ec, ||H||^2)`` of the M x N array whose rows ``[lo, hi)`` are ``rows(lo, hi)``.
+def _blocked_loss(rows, m: int, config: StftConfig) -> tuple[float, float]:
+    """``(loss_ec, ||H||^2)`` of an M x N array H, one block at a time.
 
+    ``rows(lo, hi, own)`` returns ``u = ifft(H[lo:hi])``, complex or (for the
+    STFT of a real signal) real, and ``||H[lo:hi][own]||^2``, or 0.0 when the
+    caller needs no ``||H||^2``.
     The sums run over blocks of ``_BLOCK`` frames, each read with its halo
-    (see the module docstring). ``||H||^2`` is summed from each block's own
-    rows only when ``energy`` is set, and is 0.0 otherwise.
+    (see the module docstring); the workspace takes ``u``'s dtype.
     """
     halo = config.overlap_factor - 1
-    ws = _Workspace((min(m, _BLOCK + 2 * halo), config.window_len), config)
+    ws = None
     loss = norm_sq = 0.0
     for a in range(0, m, _BLOCK):
         b = min(a + _BLOCK, m)
         lo, hi = max(0, a - halo), min(m, b + halo)
-        h = rows(lo, hi)
-        u = np.fft.ifft(h, axis=1)
+        own = slice(a - lo, b - lo)
+        u, energy = rows(lo, hi, own)
+        ws = ws or _Workspace((min(m, _BLOCK + 2 * halo), config.window_len), config,
+                              u.dtype)
         e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e[: hi - lo])
-        loss += _sum_squares(e[a - lo : b - lo])
-        if energy:
-            norm_sq += _sum_squares(h[a - lo : b - lo])
+        loss += _sum_squares(e[own])
+        norm_sq += energy
     return config.window_len * loss, norm_sq
 
 
@@ -135,12 +145,12 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
 class _Workspace:
     """Buffers for one shape: a solver run's, or one block's in ``_blocked_loss``."""
 
-    def __init__(self, shape: tuple[int, int], config: StftConfig):
+    def __init__(self, shape: tuple[int, int], config: StftConfig, dtype=complex):
         m, n = shape
         self.config = config
-        self.h, self.e = np.empty(shape, complex), np.empty(shape, complex)
+        self.h, self.e = np.empty(shape, complex), np.empty(shape, dtype)
         self.grad = np.empty(shape)
-        self.y = np.empty((m + config.overlap_factor - 1, config.hop), complex)
+        self.y = np.empty((m + config.overlap_factor - 1, config.hop), dtype)
         # the M frames of the overlap-add output, as a view that follows self.y
         self.framed = _frames(self.y.ravel(), config, m)
         self.synthesis_n = n * config.synthesis_window

@@ -317,6 +317,15 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert cli.resolve_config(None, report["config"]) == report["config"]
 
+    def test_report_keys_and_environment(self, tmp_path):
+        wav, out = tmp_path / "in.wav", tmp_path / "report.json"
+        make_wav(wav)
+        assert cli.main(["analyze", str(wav), "--out", str(out)] + STFT_FLAGS) == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {"command", "config", "input", "results", "environment"}
+        assert set(report["results"]) == {"consistency_measure", "frames", "bins"}
+        assert report["environment"] == cli._environment()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = cli.main(["analyze", str(tmp_path / "nope.wav")])
         assert code == cli.EXIT_IO

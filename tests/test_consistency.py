@@ -240,8 +240,34 @@ _EDGE_FRAMES = [1, 3, 4, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK 
 blocked_frames = st.one_of(st.sampled_from(_EDGE_FRAMES), st.integers(1, 3 * _BLOCK + 4))
 
 
+def _complex_blocked_loss(h, config):
+    """``(loss_ec, ||H||^2)`` by a plain complex blocked loop: the oracle whose
+    bits ``loss_ec`` and a spectrogram's ``consistency_measure`` must keep."""
+    m, halo = h.shape[0], config.overlap_factor - 1
+    ws = _Workspace((min(m, _BLOCK + 2 * halo), config.window_len), config)
+    loss = norm_sq = 0.0
+    for a in range(0, m, _BLOCK):
+        b = min(a + _BLOCK, m)
+        lo, hi = max(0, a - halo), min(m, b + halo)
+        u = np.fft.ifft(h[lo:hi], axis=1)
+        e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e[: hi - lo])
+        loss += _sum_squares(e[a - lo : b - lo])
+        norm_sq += _sum_squares(h[a:b])
+    return config.window_len * loss, norm_sq
+
+
 class TestBlockedSums:
     """``loss_ec`` and ``consistency_measure`` sum by blocks; ``_apply`` is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from(BLOCKED_CONFIGS), m=blocked_frames,
+           seed=st.integers(0, 2**32 - 1))
+    def test_spectrogram_path_keeps_its_bits(self, size, m, seed):
+        cfg = sc.make_config(*size)
+        h = random_spectrogram(np.random.default_rng(seed), m, cfg.window_len)
+        loss, norm_sq = _complex_blocked_loss(h, cfg)
+        assert sc.loss_ec(h, cfg) == loss
+        assert sc.consistency_measure(h, cfg) == float(np.sqrt(loss / norm_sq))
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from(BLOCKED_CONFIGS), m=blocked_frames,

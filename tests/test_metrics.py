@@ -16,6 +16,10 @@ from conftest import random_spectrogram
 from test_consistency import BLOCKED_CONFIGS
 
 
+# The blocked configs plus odd window lengths, which have no Nyquist bin.
+SIGNAL_CONFIGS = BLOCKED_CONFIGS + [(63, 21, "hann"), (15, 5, "rectangular")]
+
+
 class TestConsistencyMeasure:
     def test_clean_stft_below_threshold(self, cfg_512_128, rng):
         k = get_kernel(cfg_512_128)
@@ -52,7 +56,7 @@ class TestConsistencyMeasure:
 
     # From 1 sample (Q frames) to the longest signal of 3 blocks and Q frames.
     @settings(max_examples=40, deadline=None)
-    @given(size=st.sampled_from(BLOCKED_CONFIGS), fraction=st.floats(0.0, 1.0),
+    @given(size=st.sampled_from(SIGNAL_CONFIGS), fraction=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32 - 1))
     def test_signal_matches_its_stft(self, size, fraction, seed):
         cfg = sc.make_config(*size)
@@ -65,6 +69,15 @@ class TestConsistencyMeasure:
         # Both measures are rounding noise of a true STFT, so compare absolutely.
         assert abs(got - sc.consistency_measure(spec, cfg)) <= 1e-15
         assert got < 1e-7
+
+    def test_signal_measure_takes_the_half_spectrum(self, cfg_64_16):
+        signal = sc.Signal(np.random.default_rng(3).standard_normal(5000))
+        with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
+                mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
+                mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+            assert sc.consistency_measure(signal, cfg_64_16) < 1e-7
+        assert fft.call_count == ifft.call_count == 0
+        assert rfft.call_count == -(-sc.num_frames(5000, cfg_64_16) // _BLOCK)
 
     def test_signal_measure_never_holds_the_full_stft(self, cfg_512_128):
         signal = sc.Signal(np.random.default_rng(5).standard_normal(30 * 16000), 16000)
