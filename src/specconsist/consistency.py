@@ -100,8 +100,8 @@ def _blocked_loss(rows, m: int, config: StftConfig) -> tuple[float, float]:
         lo, hi = max(0, a - halo), min(m, b + halo)
         own = slice(a - lo, b - lo)
         u, energy = rows(lo, hi, own)
-        ws = ws or _Workspace((min(m, _BLOCK + 2 * halo), config.window_len), config,
-                              u.dtype)
+        ws = ws or _ErrorBuffers((min(m, _BLOCK + 2 * halo), config.window_len), config,
+                                 u.dtype)
         e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e[: hi - lo])
         loss += _sum_squares(e[own])
         norm_sq += energy
@@ -138,23 +138,43 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
     """
     mag = _magnitude(mag, config)
     ws = _Workspace(mag.shape, config)
-    ws.loss(_polar(_phase(phase, mag.shape, "phase", finite=False), mag, ws.h))
+    ws.loss(_polar(_phase(phase, mag.shape, "phase", finite=False), mag))
     return ws.gradient()
 
 
-class _Workspace:
-    """Buffers for one shape: a solver run's, or one block's in ``_blocked_loss``."""
+class _ErrorBuffers:
+    """Buffers of ``error`` for one shape: a Griffin-Lim run's, or one block's in
+    ``_blocked_loss``."""
 
     def __init__(self, shape: tuple[int, int], config: StftConfig, dtype=complex):
         m, n = shape
         self.config = config
-        self.h, self.e = np.empty(shape, complex), np.empty(shape, dtype)
-        self.grad = np.empty(shape)
+        self.e = np.empty(shape, dtype)
         self.y = np.empty((m + config.overlap_factor - 1, config.hop), dtype)
         # the M frames of the overlap-add output, as a view that follows self.y
         self.framed = _frames(self.y.ravel(), config, m)
         self.synthesis_n = n * config.synthesis_window
-        self.analysis_n = n * config.analysis_window
+
+    def error(self, x: np.ndarray, scaled: np.ndarray, window: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """``window * frame(OLA(scaled * x)) - x`` into ``out``, which is not ``x``.
+
+        ``x`` and ``out`` may have fewer rows than the workspace, whose leading
+        rows then serve.
+        """
+        k = x.shape[0]
+        _add_blocks(np.multiply(x, scaled, out=out), self.config,
+                    self.y[: k + self.config.overlap_factor - 1])
+        return np.subtract(np.multiply(self.framed[:k], window, out=out), x, out=out)
+
+
+class _Workspace(_ErrorBuffers):
+    """A gradient-descent run's buffers, with ``loss_ec`` and its gradient."""
+
+    def __init__(self, shape: tuple[int, int], config: StftConfig):
+        super().__init__(shape, config)
+        self.grad = np.empty(shape)
+        self.analysis_n = shape[1] * config.analysis_window
 
     def loss(self, h: np.ndarray) -> float:
         """``loss_ec(h)`` by Parseval: N * ||e||^2 for u = ifft(h) and e = W *
@@ -176,16 +196,3 @@ class _Workspace:
         np.subtract(g.imag, g.real, out=self.grad)
         self.grad *= 2.0
         return self.value, self.grad
-
-    def error(self, x: np.ndarray, scaled: np.ndarray, window: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-        """``window * frame(OLA(scaled * x)) - x`` into ``out``, which is not ``x``.
-
-        ``x`` and ``out`` may have fewer rows than the workspace, whose leading
-        rows then serve.
-        """
-        k = x.shape[0]
-        _add_blocks(np.multiply(x, scaled, out=out), self.config,
-                    self.y[: k + self.config.overlap_factor - 1])
-        return np.subtract(np.multiply(self.framed[:k], window, out=out), x, out=out)
-

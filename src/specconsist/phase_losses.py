@@ -143,14 +143,14 @@ def _time_loss(t, mag, config, norm):
 
     Signals are ``overlap_add`` of mag e^{jP}, bitwise what ``_Workspace.loss``
     leaves in ``ws.y``: in a solver the estimate's is the one its measure has
-    just made from ``ws.h`` = mag e^{j p_est}. The target's is made here once;
+    just made from ``ws.last_h`` = mag e^{j p_est}. The target's is made here once;
     with ``ws`` None the step makes the estimate's.
     """
     start = config.window_len - config.hop  # the padding ``stft`` puts first
     y_ref = overlap_add(_polar(t, mag), config).real[start:].copy()
 
     def step(p_est, unit=None, ws=None):
-        h = _polar(p_est, mag) if ws is None else ws.h
+        h = _polar(p_est, mag) if ws is None else ws.last_h
         y = overlap_add(h, config) if ws is None else ws.y.ravel()
         diff = y_ref - y.real[start:]
         if norm == "L2":

@@ -14,7 +14,7 @@ from itertools import count
 import numpy as np
 
 from . import phase_losses
-from .consistency import _Workspace
+from .consistency import _ErrorBuffers, _Workspace
 from .errors import DivergenceError, InputError
 from .stft import (Signal, Spectrogram, StftConfig, _integer, _magnitude, _phase, _polar,
                    _real, _sum_squares, _unit_phasor, istft, signal_length)
@@ -174,49 +174,69 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     least-squares step; the inconsistency ``||A e^{jP} - STFT(iSTFT(A e^{jP}))||^2``
     is then non-increasing at every iteration. It is the loss that ``_solve`` runs on.
 
-    An iteration takes one inverse and one forward FFT per frame: the
-    overlap-add that resynthesizes the signal also gives the trace's measure,
-    ``loss_ec`` by Parseval (see ``_project``). The iterate is carried as its
-    unit phasor, Z/|Z| wherever the projection Z is nonzero and the previous one
-    elsewhere, so no angle, cos or sin is taken inside the loop; the returned
-    phase is its angle, and the initial phase where Z was always zero.
+    The projection keeps only the Hermitian part of its input, so the iterate
+    is the STFT of a real signal: its unit phasor c and the mirror-symmetric
+    magnitude ``(mag[k] + mag[N-k]) / 2``, all of ``mag`` that reaches the
+    projection, are carried on N/2+1 bins. With u = irfft(c * mag), the
+    overlap-add y gives the trace's measure ``loss_ec`` = N * ||W*frame(y) -
+    u||^2 (see ``consistency``) and, masked to the samples ``istft`` keeps,
+    the projection Z = rfft(W*frame(y)) and the inconsistency, the same sum
+    by Parseval. c becomes Z/|Z| where Z is nonzero, so no angle, cos or sin
+    is taken in the loop. Record 0 and ``final_loss`` score phases that need
+    not be odd: the anti-Hermitian part A of their H adds ||A||^2 to the
+    inconsistency and ||C A||^2 to the measure. The returned phase is the odd
+    extension of angle(c) on bins that ever moved, the initial phase elsewhere.
     """
     opts.validate()
     mag = _magnitude(mag, config)
-    sig_len = signal_length(mag.shape[0], config)
+    n, window = config.window_len, config.analysis_window
+    bins = n // 2 + 1
+    with np.errstate(over="ignore"):  # a sum past the float range diverges in _solve
+        mag = (mag + mag[:, -np.arange(n)]) / 2
+    half = np.ascontiguousarray(mag[:, :bins])
     phase = _initial_phase(mag.shape, opts)
-    workspace = _Workspace(mag.shape, config)
-    unit = _polar(phase)
-    moved = np.zeros(mag.shape, bool)
+    unit = _polar(phase[:, :bins])
+    moved, h_half = np.zeros(unit.shape, bool), np.empty_like(unit)
+    ws = _ErrorBuffers(mag.shape, config, float)
+    start, y = n - config.hop, ws.y.ravel()
+    dropped = (y[:start], y[start + signal_length(mag.shape[0], config):])  # by istft
+
+    def project(h):
+        """``(loss_ec(H), Z, ||H - Z||^2)`` for the Hermitian H whose N/2+1 bins
+        are ``h``; ``ws.error`` leaves OLA(N*S*u) in ``y``."""
+        u = np.fft.irfft(h, n, axis=1)
+        measure = n * _sum_squares(ws.error(u, ws.synthesis_n, window, ws.e))
+        for samples in dropped:
+            samples.fill(0.0)
+        f = np.multiply(ws.framed, window, out=ws.e)
+        z = np.fft.rfft(f, axis=1)
+        return measure, z, n * _sum_squares(np.subtract(f, u, out=f))
+
+    def split(full):
+        """``project``'s triple for any M x N array: its Hermitian part is projected;
+        its anti-Hermitian part A = jB, B Hermitian, adds ||A||^2 = N * ||b||^2
+        and ||C A||^2 = ||C B||^2 for b = irfft(B)."""
+        head, mirror = full[:, :bins], np.conj(full[:, -np.arange(bins)])
+        measure, z, inconsistency = project((head + mirror) / 2)
+        b = np.fft.irfft((head - mirror) * -0.5j, n, axis=1)
+        e = ws.error(b, ws.synthesis_n, window, ws.e)
+        return measure + n * _sum_squares(e), z, inconsistency + n * _sum_squares(b)
 
     def steps(trace):
+        measure, z, inconsistency = split(_polar(phase, mag))
         while True:
-            h = np.multiply(unit, mag, out=workspace.h)
-            loss, z, inconsistency = _project(workspace, h, sig_len)
             np.logical_or(moved, _unit_phasor(z, np.abs(z), unit), out=moved)
-            yield inconsistency, loss, 0.0
+            yield inconsistency, measure, 0.0
+            measure, z, inconsistency = project(np.multiply(unit, half, out=h_half))
 
     def finish(trace):
         trace.best_iteration = len(trace.records) - 1
-        out = np.where(moved, np.angle(unit), phase)
-        return out, _project(workspace, _polar(out, mag, workspace.h), sig_len)[2]
+        angle, tail = np.angle(unit), slice((n - 1) // 2, 0, -1)  # partners past N/2
+        out = np.where(np.hstack([moved, moved[:, tail]]),
+                       np.hstack([angle, -angle[:, tail]]), phase)
+        return out, split(_polar(out, mag))[2]
 
     return _solve(mag, opts, "inconsistency", steps, finish)
-
-
-def _project(ws: _Workspace, h, sig_len: int):
-    """``(loss_ec(H), Z, ||H - Z||^2)`` for H = ``h`` and Z = STFT(iSTFT(H)).
-
-    ``ws.loss(H)`` leaves ``overlap_add(H)`` in ``ws.y``, bit for bit; Z
-    re-analyzes the ``sig_len`` samples that ``istft`` keeps of its real part,
-    zero-padded where ``stft`` pads them.
-    """
-    loss, config, y = ws.loss(h), ws.config, ws.y.ravel()
-    start = config.window_len - config.hop
-    y.real[:start] = 0.0
-    y.real[start + sig_len:] = 0.0
-    z = np.fft.fft(ws.framed.real * config.analysis_window, axis=1)
-    return loss, z, _sum_squares(np.subtract(h, z, out=ws.e))
 
 
 def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
@@ -242,7 +262,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
 
     phase = _initial_phase(mag.shape, opts)
     loss_step = bind(target_phase, mag, config)  # before the workspace: peaks never add
-    unit = np.empty(mag.shape, complex)
+    unit, h = np.empty(mag.shape, complex), np.empty(mag.shape, complex)
     workspace = _Workspace(mag.shape, config)
     best_loss, best_phase = np.inf, phase.copy()
 
@@ -256,7 +276,7 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
             if use_c1c2:
                 phase = np.arctan2(c1, c2)
             _polar(phase, out=unit)
-            ec = workspace.loss(np.multiply(unit, mag, out=workspace.h))
+            ec = workspace.loss(np.multiply(unit, mag, out=h))
             value, grad = loss_step(phase, unit, workspace)
             step = _step_size(k, opts, peak_sq)
             if value < best_loss:  # false for NaN and +inf; no loss is -inf

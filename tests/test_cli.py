@@ -19,7 +19,7 @@ from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, _polar, signal_length, stft
 
 from test_audio_io import MALFORMED_WAVS
-from test_solvers import reference_gla_inconsistency, reference_griffin_lim
+from test_solvers import reference_gla_inconsistency, reference_half_griffin_lim
 
 
 def make_wav(path, kind="sine", sr=8000, duration=0.25, **params):
@@ -440,7 +440,7 @@ class TestReconstruct:
                          "--iters", "25", "--sr", "8000", "--out", str(out)]
                         + STFT_FLAGS) == 0
         cfg = json.loads((out / "report.json").read_text())["config"]
-        phase, want = reference_griffin_lim(mag, cli._solver_options(cfg), config)
+        phase, want = reference_half_griffin_lim(mag, cli._solver_options(cfg), config)
         recon = solvers.reconstruct_signal(mag, phase, config,
                                            length=signal_length(len(mag), config),
                                            sample_rate=8000)
