@@ -195,7 +195,7 @@ def _load_reconstruct_input(args, config):
     if path.suffix.lower() == ".npy":
         arr = _load_npy(path)
         if arr.ndim == 2 and arr.shape[1] == config.window_len // 2 + 1:
-            arr = expand_half_spectrum(arr)
+            arr = expand_half_spectrum(arr, config.window_len)
         return _magnitude(arr, config), None, None, args.sr
     signal, meta = audio_io.read_wav(path, downmix=args.downmix)
     spec = stft(signal, config)
@@ -329,7 +329,8 @@ def _compare_one(path: Path, loss_names, cfg, config):
         target = clean_phase if solvers.LOSSES[loss][1] else None
         opts = _solver_options(cfg)
         try:
-            phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config)
+            phase, trace = solvers.gd_reconstruct(mag, loss, target, opts, config,
+                                                  measure=False)  # no row reads it
             spec = solvers._spectrogram(mag, phase, config)
             scores = metrics.evaluate(signal, istft(spec, length=len(signal)), mag,
                                       spec, config, cfg["metrics"]["search_radius"])
@@ -350,7 +351,9 @@ def cmd_compare(args) -> int:
     except KeyError as exc:
         raise InputError(f"unknown loss {exc.args[0]!r}; expected one of "
                          f"{sorted(LOSS_FLAGS)}") from None
-    corpus = sorted(Path(args.corpus).glob("*.wav"))
+    # a corpus that is missing or not a directory is an OSError (exit 4), not empty
+    corpus = sorted(Path(args.corpus) / name for name in os.listdir(args.corpus)
+                    if name.endswith(".wav"))
     out_path = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "results.csv"
 
     header = ["file", "loss", "final_loss", "consistency_measure",

@@ -142,10 +142,10 @@ def _normalized(loss: float, norm_sq: float) -> float:
 def _solve(mag, opts: SolverOptions, what: str, steps, finish):
     """The loop of both solvers: ``(phase, trace)`` for the records of ``steps(trace)``.
 
-    ``steps`` yields each iterate's (loss, ``loss_ec``, step size); record k holds
-    the loss, ``_normalized(loss_ec)`` and the step. A run stops after
-    ``max_iters`` records, or after the first iteration whose loss fell by less
-    than ``tolerance`` (0 disables the rule). A non-finite loss raises
+    ``steps`` yields each iterate's (loss, ``loss_ec`` or None, step size); record
+    k holds the loss, ``_normalized(loss_ec)`` (NaN for None) and the step. A run
+    stops after ``max_iters`` records, or after the first iteration whose loss fell
+    by less than ``tolerance`` (0 disables the rule). A non-finite loss raises
     DivergenceError carrying the records so far. Then ``finish(trace)`` gives the
     phase and ``final_loss``. numpy's overflow and invalid-value warnings are off
     throughout, so none pre-empts the divergence.
@@ -154,7 +154,8 @@ def _solve(mag, opts: SolverOptions, what: str, steps, finish):
     with np.errstate(invalid="ignore", over="ignore"):
         norm_sq = float(np.sum(mag ** 2))
         for k, (loss, ec, step) in zip(range(opts.max_iters), steps(trace)):
-            trace.records.append(TraceRecord(k, loss, _normalized(ec, norm_sq), step))
+            measure = np.nan if ec is None else _normalized(ec, norm_sq)
+            trace.records.append(TraceRecord(k, loss, measure, step))
             if not np.isfinite(loss):
                 raise DivergenceError(f"{what} became non-finite at iteration {k}", trace)
             if prev is not None and opts.tolerance > 0 and (prev - loss) < opts.tolerance:
@@ -240,13 +241,18 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
 
 
 def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
-                   config: StftConfig) -> tuple[np.ndarray, SolveTrace]:
+                   config: StftConfig, *, measure: bool = True
+                   ) -> tuple[np.ndarray, SolveTrace]:
     """Gradient descent on the chosen loss over the selected parameterization.
 
     A target phase goes with exactly the losses that take one (``LOSSES``).
     ``_solve`` runs the loop; this returns the lowest-loss iterate. Each iteration
     builds e^{jP} once, H = mag e^{jP} from it and the measure ``loss_ec(H)``; the
-    loss's step reads all three (``ec``'s is the measure and its gradient).
+    loss's step reads all three (``ec``'s is the measure and its gradient). With
+    ``measure`` False a target loss's step is called as ``step(phase, None,
+    None)`` and builds what it needs, no measure is taken and every record's
+    ``consistency_measure`` is NaN; the phases, losses and steps are the same.
+    ``ec`` always takes the measure, which is its loss.
     """
     opts.validate()
     if loss not in tuple(LOSSES):  # an unhashable loss is unknown too
@@ -262,8 +268,10 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
 
     phase = _initial_phase(mag.shape, opts)
     loss_step = bind(target_phase, mag, config)  # before the workspace: peaks never add
-    unit, h = np.empty(mag.shape, complex), np.empty(mag.shape, complex)
-    workspace = _Workspace(mag.shape, config)
+    measure = measure or not takes_target  # ec's loss is the measure
+    if measure:
+        unit, h = np.empty(mag.shape, complex), np.empty(mag.shape, complex)
+        workspace = _Workspace(mag.shape, config)
     best_loss, best_phase = np.inf, phase.copy()
 
     def steps(trace):
@@ -275,9 +283,11 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
         for k in count():
             if use_c1c2:
                 phase = np.arctan2(c1, c2)
-            _polar(phase, out=unit)
-            ec = workspace.loss(np.multiply(unit, mag, out=h))
-            value, grad = loss_step(phase, unit, workspace)
+            if measure:
+                ec = workspace.loss(np.multiply(_polar(phase, out=unit), mag, out=h))
+                value, grad = loss_step(phase, unit, workspace)
+            else:
+                ec, (value, grad) = None, loss_step(phase, None, None)
             step = _step_size(k, opts, peak_sq)
             if value < best_loss:  # false for NaN and +inf; no loss is -inf
                 best_loss, best_phase, trace.best_iteration = value, phase.copy(), k

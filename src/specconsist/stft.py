@@ -429,18 +429,24 @@ def compress_magnitude(spec, a: float, b: float,
     return Spectrogram(out, config)
 
 
-def expand_half_spectrum(half: np.ndarray) -> np.ndarray:
-    """Expand an M x (N/2 + 1) half-band array to all N bins.
+def expand_half_spectrum(half: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Expand an M x (N//2 + 1) half-band array to all N bins.
 
-    Complex input is mirrored with conjugation (Hermitian symmetry of real
-    signals); real input (e.g. magnitudes) is mirrored directly.
+    N is ``n``, by default the even ``2 * (bins - 1)``: an M x 32 array is 62
+    bins wide at N = 62 and 63 at N = 63. Bin k > N//2 is the mirror of bin N-k,
+    so the tail has N - (N//2 + 1) columns. Complex input is mirrored with
+    conjugation (Hermitian symmetry of real signals); real input (e.g.
+    magnitudes) is mirrored directly.
     """
     half = np.atleast_2d(np.asarray(half))
-    n_half = half.shape[1]
-    n = 2 * (n_half - 1)
+    bins = half.shape[1]
+    n = 2 * (bins - 1) if n is None else n
     if n < 2:
         raise InputError("half spectrum needs at least 2 bins")
-    tail = half[:, -2:0:-1]
+    if bins != n // 2 + 1:
+        raise InputError(f"a half spectrum of {n} bins has {n // 2 + 1} columns, "
+                         f"got {bins}")
+    tail = half[:, n - bins:0:-1]
     if np.iscomplexobj(half):
         tail = np.conj(tail)
     return np.concatenate([half, tail], axis=1)

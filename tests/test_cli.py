@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import specconsist as sc
-from specconsist import audio_io, cli, solvers
+from specconsist import audio_io, cli, consistency, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, _polar, signal_length, stft
 
@@ -229,8 +229,10 @@ class TestTables:
         assert out.exists() == takes_target
 
         targets, solve = [], solvers.gd_reconstruct
-        monkeypatch.setattr(solvers, "gd_reconstruct", lambda mag, loss, target, *rest: (
-            targets.append(target is not None), solve(mag, loss, target, *rest))[1])
+        monkeypatch.setattr(solvers, "gd_reconstruct",
+                            lambda mag, loss, target, *rest, **kw: (
+                                targets.append(target is not None),
+                                solve(mag, loss, target, *rest, **kw))[1])
         assert cli.main(["compare", str(corpus), "--losses", flag, "--iters", "2",
                          "--out", str(tmp_path / "r.csv")] + STFT_FLAGS) == cli.EXIT_OK
         assert targets == [takes_target]
@@ -569,6 +571,20 @@ class TestReconstruct:
                          "--iters", "5", "--out", str(out)] + STFT_FLAGS)
         assert code == 0
 
+    @pytest.mark.parametrize("n, hop", [(64, 16), (63, 21)])
+    def test_half_and_full_band_magnitudes_give_the_same_output(self, tmp_path, n, hop):
+        config = sc.make_config(n, hop, "hann")
+        mag = stft(sc.synth("chirp", {"f0": 200.0, "f1": 3000.0}, 8000, 0.1),
+                   config).magnitude
+        full = np.maximum(mag, mag[:, -np.arange(n)])  # mirror-symmetric bit for bit
+        for name, arr in (("full", full), ("half", full[:, : n // 2 + 1])):
+            np.save(tmp_path / f"{name}.npy", arr)
+            assert cli.main(["reconstruct", str(tmp_path / f"{name}.npy"), "--solver",
+                             "gla", "--iters", "5", "--window-len", str(n), "--hop",
+                             str(hop), "--out", str(tmp_path / name)]) == cli.EXIT_OK
+        assert (tmp_path / "half" / "out.wav").read_bytes() == \
+            (tmp_path / "full" / "out.wav").read_bytes()
+
     def test_radius_beyond_signal_length(self, tmp_path):
         wav = tmp_path / "in.wav"
         make_wav(wav, duration=0.05)  # 400 samples
@@ -830,6 +846,35 @@ class TestCompare:
         assert code == cli.EXIT_WARNING
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_a_corpus_that_is_not_a_directory_is_an_io_error(self, tmp_path, capsys,
+                                                             kind):
+        corpus = tmp_path / "corpus"
+        if kind == "file":
+            make_wav(corpus)
+        out = tmp_path / "outdir" / "r.csv"
+        code = cli.main(["compare", str(corpus), "--out", str(out)])
+        assert code == cli.EXIT_IO
+        assert str(corpus) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_only_ec_builds_a_workspace(self, tmp_path, monkeypatch):
+        # the target losses' rows read no measure, so their runs take none
+        corpus = self._make_corpus(tmp_path)
+        built = []
+
+        class Spy(consistency._Workspace):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        for module in (consistency, solvers):
+            monkeypatch.setattr(module, "_Workspace", Spy)
+        assert cli.main(["compare", str(corpus), "--losses", ",".join(cli.LOSS_FLAGS),
+                         "--iters", "2", "--out", str(tmp_path / "r.csv")]
+                        + STFT_FLAGS) == cli.EXIT_OK
+        assert len(built) == 2  # one ec run per file
 
     def test_unknown_loss_is_input_error(self, tmp_path):
         corpus = self._make_corpus(tmp_path)

@@ -614,6 +614,31 @@ class TestGdReconstruct:
             lambda: gd_reconstruct(mag, loss, target, opts, config),
             lambda: reference_gd_reconstruct(mag, loss, target, opts, config)))
 
+    @pytest.mark.parametrize("step", [0.05, 1e308])  # 1e308: the iterate diverges
+    @pytest.mark.parametrize("parameterization", solvers.PARAMETERIZATIONS)
+    @pytest.mark.parametrize("loss", list(solvers.LOSSES))
+    def test_skipping_the_measure_changes_only_the_measure(self, cfg_64_16, loss,
+                                                            parameterization, step):
+        rng = np.random.default_rng(11)
+        mag = rng.uniform(0, 100, (8, 64))
+        mag[:, 5] = 0.0
+        target = rng.uniform(-np.pi, np.pi, mag.shape) if solvers.LOSSES[loss][1] else None
+        opts = dict(max_iters=6, step_rule="fixed", initial_step=step, final_step=step,
+                    seed=3, parameterization=parameterization)
+        got, want = run_both(
+            lambda: gd_reconstruct(mag, loss, target, SolverOptions(**opts), cfg_64_16,
+                                   measure=False),
+            lambda: gd_reconstruct(mag, loss, target, SolverOptions(**opts), cfg_64_16))
+        if target is None:  # ec's loss is its measure
+            np.testing.assert_array_equal(got[1].consistency_measures,
+                                          want[1].consistency_measures)
+        else:
+            assert np.isnan(got[1].consistency_measures).all()
+            assert np.isfinite(want[1].consistency_measures[:-1]).all()
+            for record in want[1].records:
+                record.consistency_measure = np.nan
+        assert_same_run(got, want)
+
     @pytest.mark.parametrize("loss", ["time_l1", "time_l2"])
     def test_time_loss_synthesizes_its_target_once(self, cfg_64_16, rng, monkeypatch,
                                                    loss):

@@ -292,6 +292,14 @@ class TestHalfSpectrum:
         half = full[:, : 64 // 2 + 1]
         np.testing.assert_allclose(expand_half_spectrum(half), full, atol=1e-10)
 
+    @pytest.mark.parametrize("n, hop", [(63, 21), (64, 16)])
+    def test_expand_to_the_given_length(self, rng, n, hop):
+        full = stft(rng.standard_normal(300), make_config(n, hop)).data
+        np.testing.assert_allclose(expand_half_spectrum(full[:, : n // 2 + 1], n), full,
+                                   atol=1e-10)
+        with pytest.raises(InputError, match="columns"):
+            expand_half_spectrum(full[:, : n // 2], n)
+
     def test_expand_real_mirrors(self):
         half = np.array([[0.0, 1.0, 2.0]])
         out = expand_half_spectrum(half)
