@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError, InputError
-from .stft import Signal, _integer, _samples
+from .stft import Signal, _integer, _real, _samples
 
 # encoding -> (WAVE format tag, sample dtype)
 _CODECS = {"pcm16": (1, np.dtype("<i2")), "float32": (3, np.dtype("<f4"))}
@@ -27,13 +27,6 @@ ENCODINGS = tuple(_CODECS)
 # WAVE_FORMAT_EXTENSIBLE's subformat GUID {XXXXXXXX-0000-0010-8000-00AA00389B71}
 # after its first 4 bytes, which hold the format tag
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-# synth kind -> (the parameters it requires, the ones it may take)
-SYNTH_KINDS = {"sine": (("freq",), ("amp", "phase")),
-               "multisine": (("freqs",), ("amps", "phases")),
-               "chirp": (("f0", "f1"), ("amp",)),
-               "noise": ((), ("amp", "seed")),
-               "impulse": ((), ("position", "amp"))}
-
 _PCM16_SCALE = 32768.0
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # A WAV data chunk stores its size in bytes in 32 bits, and pcm16, the smaller
@@ -134,14 +127,18 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
 
     pcm16 clips to [-1, 1] before quantizing by 32768; float32 is written
     verbatim and rejects samples beyond the float32 range. A zero-length signal,
-    or one too long for a RIFF file (4 GiB), is rejected. The parent directory
-    is created once every check has passed.
+    one too long for a RIFF file (4 GiB), or a ``meta`` other than 1 channel of
+    the signal's length is rejected. The parent directory is created once every
+    check has passed.
     """
     if meta is None and not isinstance(signal, Signal):
         raise InputError("a bare sample array needs a WavMeta for its sample rate")
     x = np.asarray(_samples(signal), dtype=np.float64)
     if x.size == 0:
         raise InputError("refusing to write a zero-length WAV file")
+    if meta is not None and (meta.channels, meta.length) != (1, x.size):
+        raise InputError(f"a WavMeta of {meta.channels} channels and {meta.length} "
+                         f"samples does not describe a mono signal of {x.size}")
     rate = _check_sample_rate(meta.sample_rate if meta is not None
                               else signal.sample_rate)
     encoding = meta.encoding if meta is not None else "float32"
@@ -192,76 +189,92 @@ def _check_sample_rate(rate) -> int:
         raise InputError(f"{exc}, which does not fit a WAV header") from None
 
 
-def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
-    """Synthesize a deterministic test signal.
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
-    A kind takes only its own params (``SYNTH_KINDS``); any other is an
-    InputError. kinds and their params:
-      sine      freq, amp=1, phase=0
-      multisine freqs, amps=None (1 each), phases=None (0 each)
-      chirp     f0, f1, amp=1 (linear sweep)
-      noise     amp=1, seed=0 (uniform in [-amp, amp))
-      impulse   position=0, amp=1
-    """
-    params = dict(params or {})
-    if kind not in SYNTH_KINDS:
+
+def _frequency(value, name: str, sr: int, n: int) -> float:
+    freq = _real(value, name, 0.0, inclusive=True)
+    if freq >= sr / 2:
+        raise InputError(f"{name} {freq} is not below the Nyquist rate {sr / 2}")
+    return freq
+
+
+def _each(rule):
+    def each(value, name: str, sr: int, n: int) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f"{name} must be a list, got {value!r}")
+        return [rule(v, f"{name}[{i}]", sr, n) for i, v in enumerate(value)]
+    return each
+
+
+_amplitude = lambda value, name, sr, n: _real(value, name, 0.0, inclusive=True)
+_phase = lambda value, name, sr, n: _real(value, name, -np.inf, inclusive=False)
+# synth parameter -> (the CLI's text parser, its rule). A rule takes the value, its
+# name, the sample rate and the sample count, and returns the value to use.
+SYNTH_PARAMS = {
+    "freq": (float, _frequency), "freqs": (_floats, _each(_frequency)),
+    "amps": (_floats, _each(_amplitude)), "phases": (_floats, _each(_phase)),
+    "f0": (float, _frequency), "f1": (float, _frequency), "amp": (float, _amplitude),
+    "position": (int, lambda value, name, sr, n: _integer(value, name, 0, n - 1)),
+    "seed": (int, lambda value, name, sr, n: _integer(value, name, 0)),
+}
+
+
+def _multisine(t, duration, freqs, amps, phases):
+    amps, phases = amps or [1.0] * len(freqs), phases or [0.0] * len(freqs)
+    if not len(freqs) == len(amps) == len(phases):
+        raise InputError("freqs, amps and phases must have equal lengths")
+    x = np.zeros(t.size)
+    for f, a, ph in zip(freqs, amps, phases):
+        x += a * np.sin(2.0 * np.pi * f * t + ph)
+    return x
+
+
+# synth kind -> (generator, {parameter: default, None if required}). A generator
+# takes the sample times, the duration and the kind's parameters as keywords.
+SYNTH_KINDS = {
+    "sine": (lambda t, duration, freq, amp: amp * np.sin(2.0 * np.pi * freq * t),
+             {"freq": None, "amp": 1.0}),
+    "multisine": (_multisine, {"freqs": None, "amps": (), "phases": ()}),
+    "chirp": (lambda t, duration, f0, f1, amp: amp * np.sin(  # a linear sweep
+        2.0 * np.pi * (f0 * t + (f1 - f0) / (2.0 * duration) * t * t)),
+        {"f0": None, "f1": None, "amp": 1.0}),
+    "noise": (lambda t, duration, amp, seed:  # uniform in [-amp, amp)
+              np.random.default_rng(seed).uniform(-amp, amp, size=t.size),
+              {"amp": 1.0, "seed": 0}),
+    "impulse": (lambda t, duration, position, amp:
+                np.where(np.arange(t.size) == position, amp, 0.0),
+                {"position": 0, "amp": 1.0}),
+}
+
+
+def synth(kind: str, params: dict | None, sr: int, duration: float) -> Signal:
+    """A deterministic test signal of a ``SYNTH_KINDS`` kind, which takes only its
+    own params (None for a default), each checked by its ``SYNTH_PARAMS`` rule.
+    Empty ``amps`` or ``phases`` are 1 or 0 per frequency."""
+    if not isinstance(kind, str) or kind not in SYNTH_KINDS:
         raise InputError(
             f"unknown synth kind {kind!r}; expected one of {tuple(SYNTH_KINDS)}")
-    required, optional = SYNTH_KINDS[kind]
-    missing = [name for name in required if params.get(name) is None]
-    if missing:
+    if not isinstance(params, (dict, type(None))):
+        raise InputError(f"synth params must be a dict or None, got {params!r}")
+    generate, defaults = SYNTH_KINDS[kind]
+    given = {name: value for name, value in (params or {}).items() if value is not None}
+    if missing := [name for name in defaults if defaults[name] is None and name not in given]:
         raise InputError(f"synth {kind} requires {', '.join(missing)}")
-    if extra := sorted(set(params) - {*required, *optional}):
+    if extra := sorted(map(str, set(given) - set(defaults))):
         raise InputError(f"synth {kind} takes no {', '.join(extra)}")
-    _check_sample_rate(sr)  # its bound keeps sr * duration a float
-    if not np.isfinite(duration):
-        raise InputError("duration must be finite")
-    if sr * duration >= _MAX_SAMPLES + 0.5:  # before anything is allocated
-        raise InputError(f"{duration} s at {sr} Hz exceeds the {_MAX_SAMPLES} "
+    sr = _check_sample_rate(sr)  # its bound keeps sr * duration a float
+    duration = _real(duration, "duration", 0.0, inclusive=False)
+    if not 0.5 < sr * duration < _MAX_SAMPLES + 0.5:  # before anything is allocated
+        raise InputError(f"{duration} s at {sr} Hz must give 1 to the {_MAX_SAMPLES} "
                          "samples a WAV data chunk can hold")
     n = int(round(sr * duration))
-    if n <= 0:
-        raise InputError("duration too short for the sample rate")
-    t = np.arange(n) / sr
-
-    if kind == "sine":
-        freq = float(params["freq"])
-        _check_freq(freq, sr)
-        amp = float(params.get("amp", 1.0))
-        phase = float(params.get("phase", 0.0))
-        x = amp * np.sin(2.0 * np.pi * freq * t + phase)
-    elif kind == "multisine":
-        freqs = [float(f) for f in params["freqs"]]
-        for f in freqs:
-            _check_freq(f, sr)
-        amps = params.get("amps") or [1.0] * len(freqs)
-        phases = params.get("phases") or [0.0] * len(freqs)
-        if not (len(freqs) == len(amps) == len(phases)):
-            raise InputError("freqs, amps and phases must have equal lengths")
-        x = np.zeros(n)
-        for f, a, ph in zip(freqs, amps, phases):
-            x += float(a) * np.sin(2.0 * np.pi * f * t + float(ph))
-    elif kind == "chirp":
-        f0, f1 = float(params["f0"]), float(params["f1"])
-        _check_freq(f0, sr)
-        _check_freq(f1, sr)
-        amp = float(params.get("amp", 1.0))
-        sweep = (f1 - f0) / (2.0 * duration)
-        x = amp * np.sin(2.0 * np.pi * (f0 * t + sweep * t * t))
-    elif kind == "noise":
-        amp, seed = float(params.get("amp", 1.0)), int(params.get("seed", 0))
-        if not np.isfinite(amp) or seed < 0:
-            raise InputError("noise needs a finite amp and a nonnegative seed")
-        x = np.random.default_rng(seed).uniform(-amp, amp, size=n)
-    else:
-        position = int(params.get("position", 0))
-        if not 0 <= position < n:
-            raise InputError(f"impulse position {position} outside [0, {n})")
-        x = np.zeros(n)
-        x[position] = float(params.get("amp", 1.0))
+    values = {name: SYNTH_PARAMS[name][1](value, name, sr, n)
+              for name, value in {**defaults, **given}.items()}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # Signal rejects inf and NaN
+            x = generate(np.arange(n) / sr, duration, **values)
+    except OverflowError:  # numpy's check of a noise range beyond the float64 limit
+        raise InputError(f"synth {kind}'s samples overflow") from None
     return Signal(x, sample_rate=sr)
-
-
-def _check_freq(freq: float, sr: int):
-    if not 0 <= freq < sr / 2:
-        raise InputError(f"frequency {freq} not below the Nyquist rate {sr / 2}")

@@ -382,8 +382,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = {name: getattr(args, name) for name in SYNTH_FLAGS
-              if getattr(args, name) is not None}
+    params = {name: getattr(args, name) for name in audio_io.SYNTH_PARAMS}
     signal = audio_io.synth(args.kind, params, args.sr, args.duration)
     out = Path(args.out)
     audio_io.write_wav(signal, audio_io.WavMeta(args.sr, 1, args.encoding,
@@ -394,15 +393,6 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
-# synth parameter flag -> argparse type; audio_io.SYNTH_KINDS says which a kind takes
-SYNTH_FLAGS = {"freq": float, "freqs": _floats, "amps": _floats, "phases": _floats,
-               "f0": float, "f1": float, "amp": float, "position": int, "seed": int}
 
 
 def _add_config_flags(sub, command: str):
@@ -456,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=audio_io.SYNTH_KINDS)
     p.add_argument("--sr", type=int, default=16000)
     p.add_argument("--duration", type=float, default=1.0)
-    for name, kind in SYNTH_FLAGS.items():
-        list_help = "comma-separated list (multisine)" if kind is _floats else None
-        p.add_argument(f"--{name}", type=kind, help=list_help)
+    for name, (parse, _) in audio_io.SYNTH_PARAMS.items():
+        list_help = "comma-separated list (multisine)" if parse is audio_io._floats else None
+        p.add_argument(f"--{name}", type=parse, help=list_help)
     p.add_argument("--encoding", choices=audio_io.ENCODINGS, default="float32")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

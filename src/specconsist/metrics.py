@@ -62,7 +62,7 @@ def consistency_measure(spec, config: StftConfig) -> float:
             u = np.fft.irfft(half, n=n, axis=1)
             return u, n * _sum_squares(u[own])
     else:
-        data, config = _coerce_spec(spec, config)
+        data, config = _coerce_spec(spec, config, finite=True)
         m = data.shape[0]
         rows = lambda lo, hi, own: (np.fft.ifft(data[lo:hi], axis=1),
                                     _sum_squares(data[lo:hi][own]))

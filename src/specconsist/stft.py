@@ -146,7 +146,7 @@ def make_config(window_len: int, hop: int, window_kind: str = "hann") -> StftCon
 def num_frames(num_samples: int, config: StftConfig) -> int:
     """Frame count covering every sample of a signal with Q overlapping frames."""
     n, r = config.window_len, config.hop
-    return (num_samples + n - r - 1) // r + 1
+    return (_integer(num_samples, "num_samples", 0) + n - r - 1) // r + 1
 
 
 def signal_length(frames: int, config: StftConfig) -> int:
@@ -208,15 +208,19 @@ def _samples(signal) -> np.ndarray:
     return x
 
 
-def _coerce_spec(spec, config: StftConfig | None) -> tuple[np.ndarray, StftConfig]:
+def _coerce_spec(spec, config: StftConfig | None,
+                 finite: bool = False) -> tuple[np.ndarray, StftConfig]:
+    """A spectrogram's data and config; a bare array must be finite under ``finite``."""
     if isinstance(spec, Spectrogram):
         if config is not None and config != spec.config:
             raise InputError("spectrogram was produced under a different config")
         return spec.data, spec.config
     if config is None:
         raise InputError("a config is required for bare spectrogram arrays")
-    return _check_frames(np.asarray(spec, dtype=np.complex128), config,
-                         "spectrogram"), config
+    data = _check_frames(np.asarray(spec, dtype=np.complex128), config, "spectrogram")
+    if finite and not np.all(np.isfinite(data)):
+        raise InputError("spectrogram contains non-finite entries")
+    return data, config
 
 
 def _check_frames(data: np.ndarray, config: StftConfig | None, what: str) -> np.ndarray:
@@ -273,8 +277,8 @@ def _real(value, name: str, floor: float, *, inclusive: bool) -> float:
             number = np.inf
         if (floor <= number if inclusive else floor < number) and number < np.inf:
             return number
-    bound = ">=" if inclusive else ">"
-    raise InputError(f"{name} must be a finite number {bound} {floor:g}, got {value!r}")
+    bound = "" if floor == -np.inf else f" {'>=' if inclusive else '>'} {floor:g}"
+    raise InputError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def _sum_squares(x: np.ndarray) -> float:
@@ -417,7 +421,7 @@ def compress_magnitude(spec, a: float, b: float,
     if a > 1.0:
         raise InputError(f"compression exponent a must lie in (0, 1], got {a!r}")
     b = _real(b, "compression scale b", 0.0, inclusive=False)
-    data, config = _coerce_spec(spec, config)
+    data, config = _coerce_spec(spec, config, finite=True)
     with np.errstate(over="ignore"):
         mag = np.abs(data)
         scaled = b * mag ** a
@@ -439,10 +443,10 @@ def expand_half_spectrum(half: np.ndarray, n: int | None = None) -> np.ndarray:
     magnitudes) is mirrored directly.
     """
     half = np.atleast_2d(np.asarray(half))
+    if half.ndim != 2:
+        raise InputError(f"a half spectrum must be 2-D, got shape {half.shape}")
     bins = half.shape[1]
-    n = 2 * (bins - 1) if n is None else n
-    if n < 2:
-        raise InputError("half spectrum needs at least 2 bins")
+    n = _integer(2 * (bins - 1) if n is None else n, "n", 2)
     if bins != n // 2 + 1:
         raise InputError(f"a half spectrum of {n} bins has {n // 2 + 1} columns, "
                          f"got {bins}")

@@ -142,6 +142,20 @@ def test_non_finite_iterate_gives_a_non_finite_value(name, m, data):
     assert not np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("call", [
+    lambda h: metrics.consistency_measure(h, CFG),
+    lambda h: sc.compress_magnitude(h, 0.5, 1.0, CFG),
+], ids=["consistency_measure", "compress_magnitude"])
+def test_a_non_finite_bare_spectrogram_is_an_input_error(call, bad):
+    # loss_ec, residual and overlap_add stay permissive: a diverged iterate must
+    # give a non-finite loss
+    h = np.ones((5, 64), complex)
+    h[2, 7] = bad
+    with pytest.raises(sc.InputError, match="spectrogram contains non-finite entries"):
+        call(h)
+
+
 @pytest.mark.parametrize("call", [
     lambda x: pl.loss_cos(x, x), lambda x: pl.loss_aw(x, x),
     lambda x: pl.loss_with_derivatives(x, x, "cos"),

@@ -2,10 +2,13 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import specconsist as sc
@@ -282,10 +285,55 @@ class TestWriteWav:
             write_wav(np.broadcast_to(0.0, (n,)), WavMeta(8000, 1, encoding, n), path)
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("channels, length", [(2, 10), (1, 3), (2, 3), (0, 10)])
+    def test_a_meta_that_does_not_describe_the_signal_creates_nothing(self, tmp_path,
+                                                                      channels, length):
+        path = tmp_path / "new" / "m.wav"
+        with pytest.raises(sc.InputError, match="does not describe a mono signal of 10"):
+            write_wav(sc.Signal(np.zeros(10)), WavMeta(8000, channels, "pcm16", length),
+                      path)
+        assert not path.parent.exists()
+
     def test_creates_missing_parent_directories(self, tmp_path):
         path = tmp_path / "a" / "b" / "s.wav"
         write_wav(sc.Signal(np.zeros(8), 8000), None, path)
         assert read_wav(path)[1] == WavMeta(8000, 1, "float32", 8)
+
+
+# Any parameter value: a scalar of any type, a list of them or a nested list.
+_SYNTH_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 100), st.just(10**400),
+    st.sampled_from([0.0, -0.0, 0.5, 7.0, 440.0, 2.7, 3999.9, 4000.0, 1e307, 1e308,
+                     -1.0, np.nan, np.inf, -np.inf, np.float32(300.0), np.int64(2)]),
+    st.floats(), st.text(max_size=3))
+_SYNTH_VALUES = st.one_of(_SYNTH_SCALARS, st.lists(
+    st.one_of(_SYNTH_SCALARS, st.lists(_SYNTH_SCALARS, max_size=2)), max_size=3))
+# Values each parameter's rule accepts at 8000 Hz and 80 samples or fewer.
+_FREQ, _AMP = st.floats(0.0, 3999.0), st.floats(0.0, 1e307)
+_GOOD_SYNTH_VALUES = {
+    "freq": _FREQ, "f0": _FREQ, "f1": _FREQ, "amp": _AMP,
+    "freqs": st.lists(_FREQ, max_size=3), "amps": st.lists(_AMP, max_size=3),
+    "phases": st.lists(st.floats(-1e300, 1e300), max_size=3),
+    "position": st.integers(0, 79), "seed": st.integers(0, 2**70)}
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` three times in four, else from ``invalid``."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: valid if ok else invalid)
+
+
+@st.composite
+def _synth_params(draw, kind):
+    """Most of the kind's own parameters, mostly with good values; now and then a
+    stray parameter, or params that are not a dict."""
+    names = list(audio_io.SYNTH_KINDS.get(kind, (None, {}))[1])
+    if draw(st.integers(0, 4)) == 0:
+        names.append(draw(st.sampled_from([*audio_io.SYNTH_PARAMS, "phase", 3])))
+    params = {name: draw(_mostly(_GOOD_SYNTH_VALUES.get(name, _SYNTH_VALUES),
+                                 _SYNTH_VALUES))
+              for name in names if draw(st.integers(0, 3))}
+    return draw(_mostly(st.just(params), st.one_of(st.none(), _SYNTH_VALUES)))
 
 
 class TestSynth:
@@ -343,6 +391,58 @@ class TestSynth:
     def test_parameter_the_kind_does_not_take(self, kind, params, extra):
         with pytest.raises(sc.InputError, match=f"synth {kind} takes no {extra}$"):
             synth(kind, params, 8000, 0.1)
+
+    @pytest.mark.parametrize("kind, params, duration, message", [
+        ("noise", {"seed": "abc"}, 0.1, "seed must be an integer >= 0, got 'abc'"),
+        ("noise", {"seed": 1.5}, 0.1, "seed must be an integer"),
+        ("noise", {"seed": True}, 0.1, "seed must be an integer"),
+        ("noise", {"amp": -1.0}, 0.1, "amp must be a finite number >= 0"),
+        ("noise", {"amp": 1e308}, 0.1, "synth noise's samples overflow"),
+        ("impulse", {"position": 2.7}, 0.1, "position must be an integer"),
+        ("impulse", {"position": 800}, 0.1, r"position must be an integer in \[0, 799\]"),
+        ("sine", {"freq": "x"}, 0.1, "freq must be a finite number >= 0, got 'x'"),
+        ("sine", {"freq": 440.0, "amp": np.inf}, 0.1, "amp must be a finite number"),
+        ("sine", {"freq": 440.0, "phase": 1.0}, 0.1, "synth sine takes no phase$"),
+        ("sine", {"freq": 440.0}, "1", "duration must be a finite number > 0"),
+        ("sine", {"freq": -1.0}, 0.1, "freq must be a finite number >= 0"),
+        ("chirp", {"f0": 100.0, "f1": 4000.0}, 0.1, "f1 4000.0 is not below the Nyquist rate 4000.0"),
+        ("chirp", {"f0": 100.0, "f1": 200.0, "amp": -0.5}, 0.1, "amp must be"),
+        ("multisine", {"freqs": 5}, 0.1, "freqs must be a list, got 5"),
+        ("multisine", {"freqs": [[440.0]]}, 0.1, r"freqs\[0\] must be a finite number"),
+        ("multisine", {"freqs": [440.0], "phases": [np.nan]}, 0.1,
+         r"phases\[0\] must be a finite number, got nan"),
+        ("multisine", {"freqs": [440.0, 500.0], "amps": [1.0]}, 0.1, "equal lengths"),
+        ("multisine", {"freqs": [440.0, 440.0], "amps": [1e308, 1e308]}, 0.1,
+         "non-finite samples"),
+        ("noise", [1], 0.1, "synth params must be a dict or None, got \\[1\\]"),
+        (["sine"], {}, 0.1, "unknown synth kind"),
+    ])
+    def test_each_parameter_has_one_rule(self, kind, params, duration, message):
+        with pytest.raises(sc.InputError, match=message):
+            synth(kind, params, 8000, duration)
+
+    def test_none_is_the_default(self):
+        required = {"sine": {"freq": 100.0}, "multisine": {"freqs": [100.0]},
+                    "chirp": {"f0": 100.0, "f1": 200.0}, "noise": {}, "impulse": {}}
+        for kind, (_, defaults) in audio_io.SYNTH_KINDS.items():
+            want = synth(kind, required[kind], 8000, 0.01).samples
+            spelled = {**dict.fromkeys(defaults), **required[kind]}
+            np.testing.assert_array_equal(synth(kind, spelled, 8000, 0.01).samples, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from([*audio_io.SYNTH_KINDS, "square"]), data=st.data(),
+           duration=st.sampled_from([0.01, 0.001, 1e-5]))
+    def test_any_parameters_give_a_finite_signal_or_an_input_error(self, kind, data,
+                                                                   duration):
+        params = data.draw(_synth_params(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                signal = synth(kind, params, 8000, duration)
+            except sc.InputError:
+                return
+        assert len(signal) == round(8000 * duration)
+        assert np.all(np.isfinite(signal.samples))
 
     # Each count is past the limit, so it fails before anything is allocated.
     @pytest.mark.parametrize("sr, duration", [(16000, 1e12), (16000, 1e308),

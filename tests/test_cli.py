@@ -18,7 +18,7 @@ from specconsist import audio_io, cli, consistency, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, _polar, signal_length, stft
 
-from test_audio_io import MALFORMED_WAVS
+from test_audio_io import MALFORMED_WAVS, _mostly
 from test_solvers import reference_gla_inconsistency, reference_half_griffin_lim
 
 
@@ -185,6 +185,17 @@ class TestTables:
         assert set(section) == fields - {"seed", "init_phase"}
         assert section == {name: getattr(defaults, name) for name in section}
         assert cli.DEFAULT_CONFIG["seed"] == defaults.seed
+
+    def test_synth_flags_are_the_parameter_table(self):
+        parser = cli.build_parser()
+        args = vars(parser.parse_args(["synth", "sine", "--out", "x.wav"]))
+        assert set(args) - {"command", "func", "kind", "sr", "duration", "encoding",
+                            "out"} == set(audio_io.SYNTH_PARAMS)
+        for name, (parse, _) in audio_io.SYNTH_PARAMS.items():
+            args = parser.parse_args(["synth", "sine", f"--{name}=1", "--out", "x.wav"])
+            assert getattr(args, name) == parse("1")
+        for _, defaults in audio_io.SYNTH_KINDS.values():
+            assert set(defaults) <= set(audio_io.SYNTH_PARAMS)
 
     def test_every_loss_has_a_cli_spelling_and_runs(self, cfg_64_16):
         spellings = {name: flag for flag, name in cli.LOSS_FLAGS.items()}
@@ -1021,6 +1032,11 @@ class TestSynthCommand:
         ["sine", "--freq", "440", "--phases", "1.0"],
         ["multisine", "--freqs", "100,200", "--amp", "0.1"],
         ["impulse", "--freq", "440", "--seed", "3"], ["noise", "--position", "5"],
+        ["noise", "--amp=-1"], ["noise", "--amp", "1e308"],
+        ["sine", "--freq", "440", "--amp=-1"], ["sine", "--freq", "440", "--amp", "inf"],
+        ["chirp", "--f0", "1", "--f1", "2", "--amp", "inf"],
+        ["multisine", "--freqs", "440,440", "--amps", "1e308,1e308"],
+        ["impulse", "--position", "8000"],
     ])
     def test_bad_parameters_are_input_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "x.wav"
@@ -1126,12 +1142,6 @@ _FLAG_VALUES = {  # flag -> (accepted values, rejected values)
 _BAD_PHASES = ["mis-shaped", "nan", "garbage"]
 
 
-def _mostly(valid, invalid):
-    """Draws from ``valid`` three times in four, else from ``invalid``."""
-    return st.sampled_from([True, True, True, False]).flatmap(
-        lambda ok: valid if ok else invalid)
-
-
 def _draw_flags(draw, flags) -> list[str]:
     argv = []
     for flag in flags:
@@ -1149,6 +1159,13 @@ def _write_phase(path, kind, shape):
     else:
         np.save(path, np.full(shape if kind != "mis-shaped" else (shape[0] + 1, 7),
                               np.nan if kind == "nan" else 0.0))
+
+
+_GOOD_SYNTH_TEXTS = {"freq": "440", "f0": "100", "f1": "3000", "amp": "0.5",
+                     "freqs": "100,200", "amps": "0.5,0.25", "phases": "1,-2",
+                     "position": "79", "seed": "7"}
+_BAD_SYNTH_TEXTS = st.sampled_from(["-0", "-1", "2.7", "80", "4000", "inf", "nan", "1e308",
+                                    "abc", "", "1,2,3", "1e308,1e308", "0.1,nan"])
 
 
 def _exit_code(argv) -> int:
@@ -1206,6 +1223,26 @@ class TestCommandProperty:
             assert code in range(5)
             if code == cli.EXIT_INPUT:
                 assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_synth_exit_code_contract(self, data):
+        draw = data.draw
+        kind = draw(st.sampled_from(sorted(audio_io.SYNTH_KINDS)))
+        names = [name for name in audio_io.SYNTH_KINDS[kind][1] if draw(st.integers(0, 3))]
+        if draw(st.integers(0, 4)) == 0:
+            names.append(draw(st.sampled_from(sorted(set(audio_io.SYNTH_PARAMS) - set(names)))))
+        argv = ["synth", kind, "--sr", "8000", "--duration",
+                draw(_mostly(st.just("0.01"), st.sampled_from(["1e-9", "inf"])))]
+        for name in names:
+            text = draw(_mostly(st.just(_GOOD_SYNTH_TEXTS[name]), _BAD_SYNTH_TEXTS))
+            argv.append(f"--{name}={text}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "new" / "s.wav"
+            code = _exit_code(argv + ["--out", str(out)])
+            event(f"exit {code}")
+            assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
+            assert out.parent.exists() == (code == cli.EXIT_OK)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

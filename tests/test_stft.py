@@ -150,6 +150,12 @@ class TestSignalLength:
             assert num_frames(length, config) == m
             assert num_frames(length + 1, config) == m + 1
 
+    @pytest.mark.parametrize("samples", [-5, 1.5, "3", True, None])
+    def test_a_sample_count_is_an_integer_of_at_least_zero(self, cfg_512_128, samples):
+        with pytest.raises(InputError, match="num_samples must be an integer >= 0"):
+            num_frames(samples, cfg_512_128)
+        assert num_frames(0, cfg_512_128) == 3 and num_frames(1.0, cfg_512_128) == 4
+
     @pytest.mark.parametrize("frames", [-1, 0, 1, 3])
     def test_fewer_than_q_frames_rejected(self, cfg_512_128, frames):
         with pytest.raises(InputError, match="need at least Q=4 frames"):
@@ -299,6 +305,20 @@ class TestHalfSpectrum:
                                    atol=1e-10)
         with pytest.raises(InputError, match="columns"):
             expand_half_spectrum(full[:, : n // 2], n)
+
+    @pytest.mark.parametrize("n", [64.0, "64", True, 1, 64.5])
+    def test_the_length_is_an_integer_of_at_least_two(self, n):
+        half = np.ones((3, 33))
+        if n == 64.0:
+            assert expand_half_spectrum(half, n).shape == (3, 64)
+        else:
+            with pytest.raises(InputError, match="n must be an integer >= 2"):
+                expand_half_spectrum(half, n)
+
+    def test_a_half_spectrum_is_two_d(self):
+        assert expand_half_spectrum(np.ones(33)).shape == (1, 64)
+        with pytest.raises(InputError, match="must be 2-D"):
+            expand_half_spectrum(np.ones((2, 2, 33)))
 
     def test_expand_real_mirrors(self):
         half = np.array([[0.0, 1.0, 2.0]])
