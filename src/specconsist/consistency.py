@@ -25,9 +25,10 @@ the residual is ``fft(e)`` for ``e = W * frame(OLA(N*S*u)) - u``, so by
 Parseval the loss is ``N * ||e||^2``; the adjoint's overlap-add input is
 ``OLA(N*W*e)``, so ``adjoint(C)(C H) = fft(S * frame(OLA(N*W*e)) - e)``.
 
-``loss_ec`` and ``metrics.consistency_measure`` take the loss alone in the
-same form, summed over blocks of ``_BLOCK`` output frames: no temporary is
-larger than a block, and each block is summed while it is still in cache.
+``loss_ec`` and a spectrogram's ``metrics.consistency_measure`` take the loss
+alone in the same form, summed over blocks of ``_BLOCK`` output frames: no
+temporary is larger than a block, and each block is summed while it is still
+in cache.
 Frame ``m`` of ``OLA(N*S*u)`` spans R-sample blocks ``m .. m+Q-1`` of the
 output, and output block ``j`` sums input frames ``j-Q+1 .. j``, so row ``m``
 of ``e`` depends only on input rows within ``Q-1`` frames of it. A block of
@@ -39,11 +40,16 @@ neighbours, are dropped. So the blocked loss is the full ``N * ||e||^2`` with
 only the float additions regrouped. ``residual`` stays the definition of C
 that the tests check it against; the tests keep its window-swapped adjoint.
 
-The measure of a real signal's STFT goes through the half spectrum in real
-arithmetic. Its H is Hermitian, so each block takes ``rfft`` of the windowed
-frames and ``u = irfft`` of those N/2+1 bins at length N: u is real, and so
-are e and the overlap-add. By Parseval ``||H||^2`` is ``N * ||u||^2``. A
-spectrogram, which need not be Hermitian, keeps the complex ``ifft``.
+The measure of a real signal's STFT needs no transform. For ``H = stft(x)``,
+``u = ifft(H)`` is ``W * frame(x)``, so ``OLA(N*S*u)`` is ``c * x`` with ``c =
+OLA(N*S*W)`` and ``e = W * frame(x * (c - 1))``. Summed over the M frames, with
+``d = OLA(W**2)``, the loss is ``N * sum_t x[t]**2 * (c[t] - 1)**2 * d[t]`` and
+``||H||^2`` is ``N * sum_t x[t]**2 * d[t]``. Cut the padded samples into rows
+of R: rows ``Q-1 .. M-1`` lie under all Q window shifts, so c and d repeat
+from row to row there and those rows enter through their summed energy per
+offset; the Q-1 rows at each end lie under fewer shifts and enter one by one.
+By the dual-window identity c is 1, so the loss is the rounding of c weighted
+by the signal's energy; it says nothing else about the signal.
 """
 
 from __future__ import annotations
@@ -51,16 +57,14 @@ from __future__ import annotations
 import numpy as np
 
 from .stft import (StftConfig, _add_blocks, _analyze_frames, _coerce_spec, _frames,
-                   _magnitude, _phase, _polar, _sum_squares, overlap_add)
+                   _magnitude, _padded, _phase, _polar, _sum_squares, overlap_add)
 
 # Output frames per block of the blocked loss. At 512 bins a block of 64
 # frames and its halo fill 0.57 MB per complex array, so one block's few arrays
 # stay in a 2 MiB L2. At 3753x512 (Hann 512/128, 2-CPU AVX-512 host, medians of
-# 15, two runs), blocks of 64 to 256 frames took about the same time (`loss_ec`
-# 30-32 ms, the real measure of a signal 28-37 ms); at 32 the signal measure
-# took 34 ms and `loss_ec` 32-36 ms. The signal measure's allocation peak grows
-# with the block (5.0, 6.0, 7.9, 11.7 and 19.3 MB at 32, 64, 128, 256 and 512
-# frames), so 64 is the smallest of the fast ones.
+# 15, two runs), `loss_ec` took 30-32 ms with blocks of 64 to 256 frames and
+# 32-36 ms at 32. Its workspace grows with the block, so 64 is the smallest of
+# the fast ones.
 _BLOCK = 64
 
 
@@ -79,33 +83,47 @@ def residual(spec, config: StftConfig) -> np.ndarray:
 def loss_ec(spec, config: StftConfig) -> float:
     """Sum of squared residual magnitudes (unnormalized)."""
     data = _coerce_spec(spec, config)[0]
-    rows = lambda lo, hi, own: (np.fft.ifft(data[lo:hi], axis=1), 0.0)
-    return _blocked_loss(rows, data.shape[0], config)[0]
+    return _blocked_loss(data, config)[0]
 
 
-def _blocked_loss(rows, m: int, config: StftConfig) -> tuple[float, float]:
-    """``(loss_ec, ||H||^2)`` of an M x N array H, one block at a time.
+def _blocked_loss(data: np.ndarray, config: StftConfig,
+                  norm: bool = False) -> tuple[float, float]:
+    """``(loss_ec, ||H||^2)`` of an M x N complex array H, one block at a time;
+    ``||H||^2`` is 0.0 unless ``norm``.
 
-    ``rows(lo, hi, own)`` returns ``u = ifft(H[lo:hi])``, complex or (for the
-    STFT of a real signal) real, and ``||H[lo:hi][own]||^2``, or 0.0 when the
-    caller needs no ``||H||^2``.
     The sums run over blocks of ``_BLOCK`` frames, each read with its halo
-    (see the module docstring); the workspace takes ``u``'s dtype.
+    (see the module docstring).
     """
-    halo = config.overlap_factor - 1
-    ws = None
+    m, halo = data.shape[0], config.overlap_factor - 1
+    ws = _ErrorBuffers((min(m, _BLOCK + 2 * halo), config.window_len), config)
     loss = norm_sq = 0.0
     for a in range(0, m, _BLOCK):
         b = min(a + _BLOCK, m)
         lo, hi = max(0, a - halo), min(m, b + halo)
-        own = slice(a - lo, b - lo)
-        u, energy = rows(lo, hi, own)
-        ws = ws or _ErrorBuffers((min(m, _BLOCK + 2 * halo), config.window_len), config,
-                                 u.dtype)
-        e = ws.error(u, ws.synthesis_n, config.analysis_window, ws.e[: hi - lo])
-        loss += _sum_squares(e[own])
-        norm_sq += energy
+        e = ws.error(np.fft.ifft(data[lo:hi], axis=1), ws.synthesis_n,
+                     config.analysis_window, ws.e[: hi - lo])
+        loss += _sum_squares(e[a - lo : b - lo])
+        if norm:
+            norm_sq += _sum_squares(data[a:b])
     return config.window_len * loss, norm_sq
+
+
+def _signal_loss(signal, config: StftConfig) -> tuple[float, float]:
+    """``(loss_ec, ||H||^2)`` of ``H = stft(signal)`` in closed form, in one pass
+    over the padded samples (see the module docstring)."""
+    x_padded, m = _padded(signal, config)
+    n, hop, q = config.window_len, config.hop, config.overlap_factor
+    rows = x_padded.reshape(-1, hop)
+    inner = rows[q - 1 : m]
+    # (2Q-1) x R: the Q-1 leading rows, the interior's energy per offset, the
+    # Q-1 trailing rows; c and d over the same rows are the overlap-add of Q frames
+    energy = np.concatenate((rows[: q - 1] ** 2, np.einsum("jr,jr->r", inner, inner)[None],
+                             rows[m:] ** 2)).ravel()
+    c, d = (_add_blocks(np.tile(w, (q, 1)), config, np.empty((2 * q - 1, hop)))
+            for w in (n * config.synthesis_window * config.analysis_window,
+                      config.analysis_window ** 2))
+    loss = np.einsum("i,i,i->", energy, (c - 1.0) ** 2, d)
+    return n * float(loss), n * float(np.einsum("i,i->", energy, d))
 
 
 def loss_ec_phase(mag: np.ndarray, phase: np.ndarray,

@@ -10,10 +10,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .consistency import _blocked_loss
+from .consistency import _blocked_loss, _signal_loss
 from .errors import InputError, MetricError
-from .stft import (Signal, StftConfig, _coerce_spec, _frames, _integer,
-                   _magnitude, _padded, _samples, _sum_squares, stft)
+from .stft import (Signal, StftConfig, _coerce_spec, _integer, _magnitude, _samples,
+                   _sum_squares, stft)
 
 DB_CLAMP = 300.0
 
@@ -46,27 +46,15 @@ def consistency_measure(spec, config: StftConfig) -> float:
     """Normalized residual norm sqrt(loss / ||H||^2); 0 iff consistent.
 
     ``spec`` is a spectrogram, or a ``Signal`` whose STFT is measured. A
-    signal's STFT is taken one block of frames at a time, on its N/2+1 bins,
-    inside the blocked loss, so the full M x N array is never held: memory
-    stays at a few blocks plus one padded copy of the samples.
+    signal's measure is computed in closed form from its samples and two
+    overlap-added window sums, with no transform and no M x N array; a
+    spectrogram's is summed one block of frames at a time.
     """
     if isinstance(spec, Signal):
-        x_padded, m = _padded(spec, config)
-        n, hop = config.window_len, config.hop
-
-        def rows(lo, hi, own):
-            # H is Hermitian, so its N/2+1 bins give the real u = ifft(H) and,
-            # by Parseval, ||H_own||^2 = N * ||u_own||^2.
-            half = np.fft.rfft(_frames(x_padded[lo * hop:], config, hi - lo)
-                               * config.analysis_window, axis=1)
-            u = np.fft.irfft(half, n=n, axis=1)
-            return u, n * _sum_squares(u[own])
+        loss, norm_sq = _signal_loss(spec, config)
     else:
         data, config = _coerce_spec(spec, config, finite=True)
-        m = data.shape[0]
-        rows = lambda lo, hi, own: (np.fft.ifft(data[lo:hi], axis=1),
-                                    _sum_squares(data[lo:hi][own]))
-    loss, norm_sq = _blocked_loss(rows, m, config)
+        loss, norm_sq = _blocked_loss(data, config, norm=True)
     if norm_sq == 0.0:
         raise MetricError("consistency measure undefined for a zero spectrogram")
     return float(np.sqrt(loss / norm_sq))

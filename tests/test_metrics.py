@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specconsist as sc
-from specconsist import metrics
 from specconsist.consistency import _BLOCK, get_kernel
 from specconsist.stft import _sum_squares, signal_length, stft
 
@@ -63,21 +63,37 @@ class TestConsistencyMeasure:
         length = 1 + int(fraction * (signal_length(3 * _BLOCK + 4, cfg) - 1))
         signal = sc.Signal(np.random.default_rng(seed).standard_normal(length))
         spec = stft(signal, cfg)
-        with mock.patch.object(metrics, "_blocked_loss", wraps=metrics._blocked_loss) as spy:
-            got = sc.consistency_measure(signal, cfg)
-        assert spy.call_args.args[1] == sc.num_frames(length, cfg) == spec.num_frames
+        got = sc.consistency_measure(signal, cfg)
+        assert sc.num_frames(length, cfg) == spec.num_frames
         # Both measures are rounding noise of a true STFT, so compare absolutely.
         assert abs(got - sc.consistency_measure(spec, cfg)) <= 1e-15
         assert got < 1e-7
 
-    def test_signal_measure_takes_the_half_spectrum(self, cfg_64_16):
+    def test_signal_measure_takes_no_transform(self, cfg_64_16):
         signal = sc.Signal(np.random.default_rng(3).standard_normal(5000))
         with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
                 mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
-                mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+                mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft, \
+                mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
             assert sc.consistency_measure(signal, cfg_64_16) < 1e-7
-        assert fft.call_count == ifft.call_count == 0
-        assert rfft.call_count == -(-sc.num_frames(5000, cfg_64_16) // _BLOCK)
+        assert fft.call_count == ifft.call_count == rfft.call_count == irfft.call_count == 0
+
+    # A true STFT measures rounding noise, so a closed form that returned 0 would
+    # pass the tests above. A random synthesis window is no dual of the analysis
+    # window, which makes the measure O(1); from 1 sample (M = Q, one interior row
+    # of R samples) to 3 blocks, and with Q = 1 (no edge rows).
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from(SIGNAL_CONFIGS + [(8, 8, "rectangular")]),
+           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_signal_measure_matches_a_non_dual_window_pair(self, size, fraction, seed):
+        cfg = sc.make_config(*size)
+        rng = np.random.default_rng(seed)
+        cfg = dataclasses.replace(cfg, synthesis_window=rng.standard_normal(cfg.window_len))
+        length = 1 + int(fraction * (signal_length(3 * _BLOCK + 4, cfg) - 1))
+        signal = sc.Signal(rng.standard_normal(length))
+        got = sc.consistency_measure(signal, cfg)
+        oracle = sc.consistency_measure(stft(signal, cfg), cfg)
+        assert abs(got - oracle) <= 1e-12 * oracle
 
     def test_signal_measure_never_holds_the_full_stft(self, cfg_512_128):
         signal = sc.Signal(np.random.default_rng(5).standard_normal(30 * 16000), 16000)
