@@ -208,7 +208,8 @@ def _each(rule):
     return each
 
 
-_amplitude = lambda value, name, sr, n: _real(value, name, 0.0, inclusive=True)
+# + 0.0 makes -0.0 a 0.0, for which numpy's uniform(-amp, amp) raises no error
+_amplitude = lambda value, name, sr, n: _real(value, name, 0.0, inclusive=True) + 0.0
 _phase = lambda value, name, sr, n: _real(value, name, -np.inf, inclusive=False)
 # synth parameter -> (the CLI's text parser, its rule). A rule takes the value, its
 # name, the sample rate and the sample count, and returns the value to use.

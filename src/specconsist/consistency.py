@@ -64,7 +64,10 @@ from .stft import (StftConfig, _add_blocks, _analyze_frames, _coerce_spec, _fram
 # stay in a 2 MiB L2. At 3753x512 (Hann 512/128, 2-CPU AVX-512 host, medians of
 # 15, two runs), `loss_ec` took 30-32 ms with blocks of 64 to 256 frames and
 # 32-36 ms at 32. Its workspace grows with the block, so 64 is the smallest of
-# the fast ones.
+# the fast ones. `analyze` has a closed form; `loss_ec` and the spectrogram
+# measure of `compare` and `reconstruct` still run blocks, which beat one
+# whole-array evaluation (medians of 30, 4 runs): 1.0-2.5 against 2.0-3.2 ms at
+# 129x512, 10-15 against 19-24 ms and a 1.6 against 23.4 MB peak at 1253x512.
 _BLOCK = 64
 
 

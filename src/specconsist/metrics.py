@@ -48,30 +48,57 @@ def consistency_measure(spec, config: StftConfig) -> float:
     ``spec`` is a spectrogram, or a ``Signal`` whose STFT is measured. A
     signal's measure is computed in closed form from its samples and two
     overlap-added window sums, with no transform and no M x N array; a
-    spectrogram's is summed one block of frames at a time.
+    spectrogram's is summed one block of frames at a time. Any power-of-two gain
+    of ``spec`` keeps the measure's bits (see ``_gain_free``).
     """
     if isinstance(spec, Signal):
-        loss, norm_sq = _signal_loss(spec, config)
+        loss, norm_sq = _gain_free(lambda x: _signal_loss(x, config), spec.samples)
     else:
         data, config = _coerce_spec(spec, config, finite=True)
-        loss, norm_sq = _blocked_loss(data, config, norm=True)
+        loss, norm_sq = _gain_free(lambda h: _blocked_loss(h, config, norm=True), data)
     if norm_sq == 0.0:
         raise MetricError("consistency measure undefined for a zero spectrogram")
     return float(np.sqrt(loss / norm_sq))
 
 
 def spectral_convergence(ref_mag: np.ndarray, est_mag: np.ndarray) -> float:
-    """20*log10 of the relative Frobenius magnitude error, clamped to -300 dB."""
+    """20*log10 of the relative Frobenius magnitude error, clamped to -300 dB. Any
+    power-of-two gain of both magnitudes keeps its bits (see ``_gain_free``)."""
     ref_mag, est_mag = _magnitude(ref_mag), _magnitude(est_mag)
     if ref_mag.shape != est_mag.shape:
         raise InputError("magnitude shapes differ")
-    ref_norm = np.sqrt(_sum_squares(ref_mag))
-    if ref_norm == 0.0:
+    err_sq, ref_sq = _gain_free(lambda a, b: (_sum_squares(a - b), _sum_squares(a)),
+                                ref_mag, est_mag)
+    if ref_sq == 0.0:
         raise MetricError("spectral convergence undefined for a zero reference")
-    err = np.sqrt(_sum_squares(ref_mag - est_mag))
-    if err == 0.0:
+    if err_sq == 0.0:
         return -DB_CLAMP
-    return float(np.clip(20.0 * np.log10(err / ref_norm), -DB_CLAMP, DB_CLAMP))
+    ratio = np.sqrt(err_sq) / np.sqrt(ref_sq)
+    return float(np.clip(20.0 * np.log10(ratio), -DB_CLAMP, DB_CLAMP))
+
+
+# Squares summed to a total in this range are far from overflow and, unless far
+# smaller than the total, from the subnormals, whose rounding depends on the scale.
+_SAFE_ENERGY = (2.0**-600, 2.0**600)
+
+
+def _gain_free(sums, *arrays) -> tuple[float, float]:
+    """``sums(*arrays)``: sums of squares ``(num, den)``, ``den`` over ``arrays[0]``.
+
+    If ``den`` is outside ``_SAFE_ENERGY`` or ``num`` is not finite, they are summed
+    again over the arrays times 2**-k, k the exponent (``frexp``) of the largest
+    real or imaginary part in ``arrays[0]``. That rescale is exact, so num / den
+    has the bits it has at any gain inside the range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = sums(*arrays)
+        if _SAFE_ENERGY[0] <= den <= _SAFE_ENERGY[1] and np.isfinite(num):
+            return num, den
+        peak = max(np.max(np.abs(x)) for x in (arrays[0].real, arrays[0].imag))
+        k = int(np.frexp(peak)[1])
+        # two exact power-of-two factors: 2**-k alone overflows for k < -1023
+        scale = np.ldexp(1.0, -(k // 2)), np.ldexp(1.0, k // 2 - k)
+        return sums(*(a * scale[0] * scale[1] for a in arrays))
 
 
 def _shifted(est: np.ndarray, shift: int) -> np.ndarray:

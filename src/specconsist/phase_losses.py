@@ -1,4 +1,4 @@
-"""Baseline phase losses and the phase-derivative operators.
+"""Baseline phase losses.
 
 All losses are sums over bins (not means). Each loss ships with its analytic
 gradient with respect to the predicted phase; finite differences are used only
@@ -176,20 +176,10 @@ def _norm_name(kind: str, norm: str) -> str:
 # phase derivatives
 
 
-def group_delay(p: np.ndarray) -> np.ndarray:
-    """Wrapped backward difference along the frequency axis.
-
-    Column 0 has no left neighbour and holds wrap(P[:, 0]) itself.
-    """
-    return _wrapped_diff(_phase(p, None, "phase", finite=False), axis=1)
-
-
-def inst_freq(p: np.ndarray) -> np.ndarray:
-    """Wrapped backward difference along the time axis (row 0 as in group_delay)."""
-    return _wrapped_diff(_phase(p, None, "phase", finite=False), axis=0)
-
-
 def _wrapped_diff(p: np.ndarray, axis: int) -> np.ndarray:
+    """Group delay (``axis`` 1) or instantaneous frequency (``axis`` 0): the backward
+    difference along ``axis``, wrapped into (-pi, pi]. The first column or row has
+    no neighbour and holds the wrapped phase itself."""
     return wrap_principal(np.diff(p, axis=axis, prepend=0.0))
 
 

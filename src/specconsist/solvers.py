@@ -16,8 +16,9 @@ import numpy as np
 from . import phase_losses
 from .consistency import _ErrorBuffers, _Workspace
 from .errors import DivergenceError, InputError
-from .stft import (Signal, Spectrogram, StftConfig, _integer, _magnitude, _phase, _polar,
-                   _real, _sum_squares, _unit_phasor, istft, signal_length)
+from .stft import (Signal, Spectrogram, StftConfig, _expand_half, _integer, _magnitude,
+                   _phase, _polar, _real, _sum_squares, _unit_phasor, istft,
+                   signal_length)
 
 # name -> (bind(target, mag, config) -> step(phase, unit, ws), takes_target). A
 # step returns (value, grad) at the phase whose unit phasor is ``unit``, reading
@@ -232,9 +233,7 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
 
     def finish(trace):
         trace.best_iteration = len(trace.records) - 1
-        angle, tail = np.angle(unit), slice((n - 1) // 2, 0, -1)  # partners past N/2
-        out = np.where(np.hstack([moved, moved[:, tail]]),
-                       np.hstack([angle, -angle[:, tail]]), phase)
+        out = np.where(_expand_half(moved, n), np.angle(_expand_half(unit, n)), phase)
         return out, split(_polar(out, mag))[2]
 
     return _solve(mag, opts, "inconsistency", steps, finish)

@@ -409,30 +409,6 @@ def project(spec, config: StftConfig | None = None) -> Spectrogram:
     return Spectrogram(_analyze_frames(y, config, data.shape[0]), config)
 
 
-def compress_magnitude(spec, a: float, b: float,
-                       config: StftConfig | None = None) -> Spectrogram:
-    """Power-law magnitude compression ``b * |H|**a * exp(j*angle(H))``.
-
-    The phase factor is H/|H|, and 0 where H is 0. A preprocessing utility
-    only: compression destroys consistency, so it is never applied before
-    residual or consistency-loss computations.
-    """
-    a = _real(a, "compression exponent a", 0.0, inclusive=False)
-    if a > 1.0:
-        raise InputError(f"compression exponent a must lie in (0, 1], got {a!r}")
-    b = _real(b, "compression scale b", 0.0, inclusive=False)
-    data, config = _coerce_spec(spec, config, finite=True)
-    with np.errstate(over="ignore"):
-        mag = np.abs(data)
-        scaled = b * mag ** a
-    if not np.all(np.isfinite(scaled)):
-        raise InputError("the compressed magnitude b * |H|**a overflows")
-    out = np.zeros_like(data)
-    _unit_phasor(data, mag, out)
-    out *= scaled
-    return Spectrogram(out, config)
-
-
 def expand_half_spectrum(half: np.ndarray, n: int | None = None) -> np.ndarray:
     """Expand an M x (N//2 + 1) half-band array to all N bins.
 
@@ -450,7 +426,12 @@ def expand_half_spectrum(half: np.ndarray, n: int | None = None) -> np.ndarray:
     if bins != n // 2 + 1:
         raise InputError(f"a half spectrum of {n} bins has {n // 2 + 1} columns, "
                          f"got {bins}")
-    tail = half[:, n - bins:0:-1]
+    return _expand_half(half, n)
+
+
+def _expand_half(half: np.ndarray, n: int) -> np.ndarray:
+    """``expand_half_spectrum`` unchecked; Griffin-Lim runs it at N = ``n`` = 1 too."""
+    tail = half[:, n - half.shape[1]:0:-1]
     if np.iscomplexobj(half):
         tail = np.conj(tail)
     return np.concatenate([half, tail], axis=1)

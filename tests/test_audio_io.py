@@ -353,6 +353,12 @@ class TestSynth:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert np.abs(a.samples).max() <= 0.3
 
+    @pytest.mark.parametrize("amp", [0.0, -0.0])
+    def test_noise_of_zero_amplitude_is_silence(self, amp):
+        # numpy's uniform rejects the interval [0.0, -0.0)
+        signal = synth("noise", {"amp": amp}, 8000, 0.01)
+        assert np.all(signal.samples == 0.0)
+
     def test_multisine_superposition(self):
         one = synth("sine", {"freq": 500.0, "amp": 0.5}, 8000, 0.05)
         two = synth("sine", {"freq": 900.0, "amp": 0.25}, 8000, 0.05)

@@ -139,6 +139,84 @@ class TestSpectralConvergence:
             sc.spectral_convergence(np.zeros((2, 2)), np.ones((2, 2)))
 
 
+# Power-of-two gains that keep a standard normal draw finite and, in practice,
+# off the subnormals; both ends are always tried.
+GAIN_EXPONENTS = st.one_of(st.sampled_from([-960, 960]), st.integers(-960, 960))
+
+
+@st.composite
+def measured_signals(draw):
+    """(config, samples): a config of ``SIGNAL_CONFIGS``, 1 sample to 2 blocks."""
+    cfg = sc.make_config(*draw(st.sampled_from(SIGNAL_CONFIGS)))
+    length = 1 + int(draw(st.floats(0.0, 1.0)) * (signal_length(2 * _BLOCK, cfg) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cfg, rng.standard_normal(length)
+
+
+def random_like(x, cfg):
+    """A random complex array of the shape of ``stft(x, cfg)``: O(1) inconsistent."""
+    rng = np.random.default_rng(x.size)
+    return random_spectrogram(rng, sc.num_frames(x.size, cfg), cfg.window_len)
+
+
+class TestGainInvariance:
+    """Both measures are ratios of sums of squares, so the input's gain cancels:
+    exactly for a power of two, to rounding for any other finite gain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=measured_signals(), j=GAIN_EXPONENTS)
+    def test_signal_measure_keeps_its_bits(self, case, j):
+        cfg, x = case
+        want = sc.consistency_measure(sc.Signal(x), cfg)
+        assert sc.consistency_measure(sc.Signal(x * 2.0**j), cfg) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=measured_signals(), consistent=st.booleans(), j=GAIN_EXPONENTS)
+    def test_spectrogram_measure_keeps_its_bits(self, case, consistent, j):
+        cfg, x = case
+        h = stft(x, cfg).data if consistent else random_like(x, cfg)
+        assert sc.consistency_measure(h * 2.0**j, cfg) == sc.consistency_measure(h, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 20), st.integers(1, 64)),
+           seed=st.integers(0, 2**32 - 1), j=GAIN_EXPONENTS)
+    def test_spectral_convergence_keeps_its_bits(self, shape, seed, j):
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(0.0, 1.0, shape)
+        est = ref * rng.uniform(0.5, 1.5, shape)
+        want = sc.spectral_convergence(ref, est)
+        assert sc.spectral_convergence(ref * 2.0**j, est * 2.0**j) == want
+
+    # A true STFT measures rounding noise, which a rounded gain changes; a signal's
+    # closed form and an inconsistent array measure O(1) sums that it does not.
+    @settings(max_examples=40, deadline=None)
+    @given(case=measured_signals(), exponent=st.floats(-300.0, 300.0))
+    def test_measures_agree_under_any_gain(self, case, exponent):
+        cfg, x = case
+        gain, h = 10.0**exponent, random_like(x, cfg)
+        for unit, scaled in ((sc.Signal(x), sc.Signal(gain * x)), (h, gain * h)):
+            want = sc.consistency_measure(unit, cfg)
+            assert abs(sc.consistency_measure(scaled, cfg) - want) <= 1e-12 * want
+
+    def test_smallest_subnormal_gain_keeps_the_bits(self, cfg_64_16):
+        signs = np.where(np.random.default_rng(7).standard_normal(300) > 0, 1.0, -1.0)
+        want = sc.consistency_measure(sc.Signal(signs), cfg_64_16)
+        assert sc.consistency_measure(sc.Signal(signs * 2.0**-1074), cfg_64_16) == want
+
+    def test_an_error_past_the_float_range_clamps(self):
+        # its sum of squares overflows: the ratio is still far above +300 dB
+        ones = np.ones((4, 8))
+        assert sc.spectral_convergence(ones, 1e300 * ones) == 300.0
+        assert sc.spectral_convergence(1e-300 * ones, ones) == 300.0
+
+    # A zero signal or spectrogram takes the rescaling path too; the tests above
+    # of their MetricError cover it.
+    def test_a_zero_reference_raises_at_any_estimate_scale(self):
+        for estimate in (2.0**-1074, 1e-170, 1e154, 1e300):
+            with pytest.raises(sc.MetricError, match="zero reference"):
+                sc.spectral_convergence(np.zeros((4, 8)), np.full((4, 8), estimate))
+
+
 def loop_aligned_snr(ref, est, search_radius):
     """The exhaustive search: every sign and shift scored in order, first best kept.
 

@@ -13,10 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 import specconsist
 from specconsist import (ConfigError, DegenerateWindowError, InputError,
-                         Signal, Spectrogram, compress_magnitude,
-                         expand_half_spectrum, grad_loss_ec_phase, istft,
-                         loss_ec, loss_ec_phase, loss_time, make_config,
-                         num_frames, overlap_add, project, residual, stft)
+                         Signal, Spectrogram, expand_half_spectrum,
+                         grad_loss_ec_phase, istft, loss_ec, loss_ec_phase,
+                         loss_time, make_config, num_frames, overlap_add,
+                         project, residual, stft)
 from specconsist.stft import (_SUM_ROW, _polar, _shifted_square_sum, _sum_squares,
                               signal_length)
 
@@ -224,71 +224,6 @@ class TestIstft:
         y = overlap_add(spec)
         assert y.dtype == np.complex128
         assert np.abs(y.imag).max() < 1e-12
-
-
-class TestCompressMagnitude:
-    def test_identity(self, cfg_rect_4, rng):
-        data = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        spec = Spectrogram(data, cfg_rect_4)
-        out = compress_magnitude(spec, a=1.0, b=1.0)
-        np.testing.assert_allclose(out.data, data, atol=1e-14)
-
-    def test_square_root_positive_bin(self, cfg_rect_4):
-        data = np.zeros((1, 4), dtype=complex)
-        data[0, 0] = 4.0
-        out = compress_magnitude(Spectrogram(data, cfg_rect_4), a=0.5, b=1.0)
-        assert abs(out.data[0, 0] - 2.0) < 1e-14
-
-    def test_square_root_negative_bin_keeps_phase(self, cfg_rect_4):
-        data = np.zeros((1, 4), dtype=complex)
-        data[0, 1] = -9.0
-        out = compress_magnitude(Spectrogram(data, cfg_rect_4), a=0.5, b=1.0)
-        # magnitude 9 -> 3, phase pi preserved
-        expected = 3.0 * np.exp(1j * np.pi)
-        assert abs(out.data[0, 1] - expected) < 1e-12
-
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, 1.0), (0.5, 2.5)])
-    def test_near_the_angle_formula(self, cfg_64_16, rng, a, b):
-        # the phase factor is H/|H|; the old np.exp(1j * np.angle(H)) agrees
-        # within a few ulp: at most 2.0 ulp(1) times the compressed magnitude over
-        # 200 draws like this one
-        data = 10.0 ** rng.uniform(-150, 150, (9, 64)) * np.exp(
-            1j * rng.uniform(-np.pi, np.pi, (9, 64)))
-        data[rng.random(data.shape) < 0.2] = 0.0
-        data[0, :4] = [-3.0, 2j, -0.0 - 4j, 5e-320]
-        out = compress_magnitude(Spectrogram(data, cfg_64_16), a=a, b=b).data
-        mag = b * np.abs(data) ** a
-        want = mag * np.exp(1j * np.angle(data))
-        assert np.all(np.abs(out - want) <= 4 * np.finfo(np.float64).eps * mag)
-        zero = data == 0
-        assert zero.sum() > 0
-        assert np.all(out.real[zero] == 0.0) and np.all(out.imag[zero] == 0.0)
-
-    def test_zero_bins_stay_zero(self, cfg_rect_4):
-        spec = Spectrogram(np.zeros((2, 4), dtype=complex), cfg_rect_4)
-        out = compress_magnitude(spec, a=0.5, b=2.0)
-        assert np.all(out.data == 0)
-
-    def test_invalid_parameters(self, cfg_rect_4):
-        spec = Spectrogram(np.ones((1, 4), dtype=complex), cfg_rect_4)
-        with pytest.raises(InputError):
-            compress_magnitude(spec, a=0.0, b=1.0)
-        with pytest.raises(InputError):
-            compress_magnitude(spec, a=0.5, b=-1.0)
-
-    @pytest.mark.parametrize("a, b", [(True, 1.0), (0.5, True), ("0.5", 1.0), (0.5, "1"),
-                                      (1.5, 1.0), (np.nan, 1.0), (10**400, 1.0)])
-    def test_scalars_are_finite_numbers(self, cfg_rect_4, a, b):
-        spec = Spectrogram(np.ones((1, 4), dtype=complex), cfg_rect_4)
-        with pytest.raises(InputError, match="compress"):
-            compress_magnitude(spec, a=a, b=b)
-
-    @pytest.mark.parametrize("b", [np.inf, np.nan, 1e308])
-    def test_non_finite_or_overflowing_scale_is_an_input_error(self, cfg_rect_4, b):
-        # the suite turns warnings into errors, so none may escape first
-        spec = Spectrogram(np.full((1, 4), 1e4 + 0j), cfg_rect_4)
-        with pytest.raises(InputError, match="compress"):
-            compress_magnitude(spec, a=0.5, b=b)
 
 
 class TestHalfSpectrum:
