@@ -241,8 +241,10 @@ def cmd_reconstruct(args) -> int:
     mag, wav_phase, reference, sample_rate = _load_reconstruct_input(args, config)
     audio_io._check_sample_rate(sample_rate)
 
+    reference_rate = sample_rate
     if args.reference is not None:
-        reference, _ = audio_io.read_wav(args.reference, downmix=args.downmix)
+        reference, meta = audio_io.read_wav(args.reference, downmix=args.downmix)
+        reference_rate = meta.sample_rate
 
     # --init provided (or noisy) starts from --init-phase, else from the WAV's phase.
     init_phase = None
@@ -267,6 +269,9 @@ def cmd_reconstruct(args) -> int:
     span = signal_length(len(mag), config)  # no signal has fewer than Q frames
     length = span if reference is None else _check_length(len(reference), len(mag),
                                                           config)
+    if reference_rate != sample_rate:  # the SNR would compare two time axes
+        raise InputError(f"reference {args.reference} is at {reference_rate} Hz, "
+                         f"the input at {sample_rate} Hz")
 
     try:
         if solver_kind == "gla":
@@ -353,7 +358,7 @@ def cmd_compare(args) -> int:
                          f"{sorted(LOSS_FLAGS)}") from None
     # a corpus that is missing or not a directory is an OSError (exit 4), not empty
     corpus = sorted(Path(args.corpus) / name for name in os.listdir(args.corpus)
-                    if name.endswith(".wav"))
+                    if name.lower().endswith(".wav"))
     out_path = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "results.csv"
 
     header = ["file", "loss", "final_loss", "consistency_measure",

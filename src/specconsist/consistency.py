@@ -45,11 +45,11 @@ The measure of a real signal's STFT needs no transform. For ``H = stft(x)``,
 OLA(N*S*W)`` and ``e = W * frame(x * (c - 1))``. Summed over the M frames, with
 ``d = OLA(W**2)``, the loss is ``N * sum_t x[t]**2 * (c[t] - 1)**2 * d[t]`` and
 ``||H||^2`` is ``N * sum_t x[t]**2 * d[t]``. Cut the padded samples into rows
-of R: rows ``Q-1 .. M-1`` lie under all Q window shifts, so c and d repeat
-from row to row there and those rows enter through their summed energy per
-offset; the Q-1 rows at each end lie under fewer shifts and enter one by one.
-By the dual-window identity c is 1, so the loss is the rounding of c weighted
-by the signal's energy; it says nothing else about the signal.
+of R: the signal fills rows ``Q-1 .. M-1`` (the padding leaves the rest zero),
+each under all Q window shifts, so c and d there are the R-periodic sums of
+``N*S*W`` and ``W**2`` and those rows enter through their summed energy per
+offset. By the dual-window identity c is 1, so the loss is the rounding of c
+weighted by the signal's energy; it says nothing else about the signal.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from __future__ import annotations
 import numpy as np
 
 from .stft import (StftConfig, _add_blocks, _analyze_frames, _coerce_spec, _frames,
-                   _magnitude, _padded, _phase, _polar, _sum_squares, overlap_add)
+                   _magnitude, _padded, _periodic_sum, _phase, _polar, _sum_squares,
+                   overlap_add)
 
 # Output frames per block of the blocked loss. At 512 bins a block of 64
 # frames and its halo fill 0.57 MB per complex array, so one block's few arrays
@@ -116,15 +117,10 @@ def _signal_loss(signal, config: StftConfig) -> tuple[float, float]:
     over the padded samples (see the module docstring)."""
     x_padded, m = _padded(signal, config)
     n, hop, q = config.window_len, config.hop, config.overlap_factor
-    rows = x_padded.reshape(-1, hop)
-    inner = rows[q - 1 : m]
-    # (2Q-1) x R: the Q-1 leading rows, the interior's energy per offset, the
-    # Q-1 trailing rows; c and d over the same rows are the overlap-add of Q frames
-    energy = np.concatenate((rows[: q - 1] ** 2, np.einsum("jr,jr->r", inner, inner)[None],
-                             rows[m:] ** 2)).ravel()
-    c, d = (_add_blocks(np.tile(w, (q, 1)), config, np.empty((2 * q - 1, hop)))
-            for w in (n * config.synthesis_window * config.analysis_window,
-                      config.analysis_window ** 2))
+    rows = x_padded.reshape(-1, hop)[q - 1 : m]
+    energy = np.einsum("jr,jr->r", rows, rows)
+    c, d = (_periodic_sum(w, hop) for w in (
+        n * config.synthesis_window * config.analysis_window, config.analysis_window ** 2))
     loss = np.einsum("i,i,i->", energy, (c - 1.0) ** 2, d)
     return n * float(loss), n * float(np.einsum("i,i->", energy, d))
 

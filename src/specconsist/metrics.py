@@ -101,16 +101,6 @@ def _gain_free(sums, *arrays) -> tuple[float, float]:
         return sums(*(a * scale[0] * scale[1] for a in arrays))
 
 
-def _shifted(est: np.ndarray, shift: int) -> np.ndarray:
-    """est advanced by `shift` samples (positive pulls later samples earlier)."""
-    out = np.zeros_like(est)
-    if 0 <= shift < est.size:
-        out[: est.size - shift] = est[shift:]
-    elif -est.size < shift < 0:
-        out[-shift:] = est[: est.size + shift]
-    return out
-
-
 # Screening tolerance per sample, relative to ||ref||^2 + 2|c_s| + ||est||^2.
 # The energies and the directly summed error (`_sum_squares`), the correlation
 # (one einsum row of n products per shift) and the cumsum prefix each carry at
@@ -166,7 +156,8 @@ def aligned_snr(ref, est, search_radius: int = 128) -> tuple[float, Alignment]:
     best = (-np.inf, Alignment(1, 0))
     with np.errstate(divide="ignore"):  # ref_energy / err may underflow to 0
         for sign, shift in candidates:
-            diff = ref - sign * _shifted(est, shift)
+            # est advanced by shift: row shift + inner, or all zeros beyond the rows
+            diff = ref - sign * (windows[shift + inner] if abs(shift) <= inner else 0.0)
             err = _sum_squares(diff)
             snr = DB_CLAMP if err == 0.0 else float(
                 np.clip(10.0 * np.log10(ref_energy / err), -DB_CLAMP, DB_CLAMP))

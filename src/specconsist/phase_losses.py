@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .stft import (StftConfig, _analyze_frames, _magnitude, _pad_signal, _phase, _polar,
+from .stft import (StftConfig, _analyze_frames, _magnitude, _padded, _phase, _polar,
                    overlap_add)
 
 TWO_PI = 2.0 * np.pi
@@ -31,17 +31,6 @@ class LossReport:
 def wrap_principal(x: np.ndarray) -> np.ndarray:
     """Map angles into the principal interval (-pi, pi]."""
     return x - TWO_PI * np.ceil((x - np.pi) / TWO_PI)
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # Deterministic tie-break; the wrapped residual magnitude is the same
-    # under either half-rounding direction.
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def wrap_residual(delta: np.ndarray) -> np.ndarray:
-    """delta minus the nearest multiple of 2*pi (ties rounded away from zero)."""
-    return delta - TWO_PI * _round_half_away(delta / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +77,7 @@ def aw_value_and_grad(p, p_est):
 
 def _aw_loss(t):
     def step(p, unit=None, ws=None):
-        w = wrap_residual(t - p)
+        w = wrap_principal(t - p)
         return float(np.sum(w ** 2)), -2.0 * w
 
     return step
@@ -159,7 +148,7 @@ def _time_loss(t, mag, config, norm):
             value, rho = float(np.sum(np.abs(diff))), -np.sign(diff)
         # Pull rho back through the synthesis: pad it as ``stft`` pads a signal
         # and analyze with the synthesis window at the same m frame positions.
-        u = _analyze_frames(_pad_signal(rho, config)[0], config, mag.shape[0],
+        u = _analyze_frames(_padded(rho, config)[0], config, mag.shape[0],
                             window=config.synthesis_window)
         return value, u.imag * h.real - u.real * h.imag  # -Im(conj(u) * h)
 

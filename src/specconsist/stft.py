@@ -104,11 +104,14 @@ def _window(kind: str, window_len: int) -> np.ndarray:
     raise ConfigError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
 
 
+def _periodic_sum(w: np.ndarray, hop: int) -> np.ndarray:
+    """The R-periodic sum of ``w``'s shifts by multiples of R, over one period."""
+    return w.reshape(-1, hop).sum(axis=0)
+
+
 def _shifted_square_sum(window: np.ndarray, hop: int) -> np.ndarray:
     """R-periodic sum of squared window shifts, tiled back to window length."""
-    q = window.size // hop
-    per_offset = (window ** 2).reshape(q, hop).sum(axis=0)
-    return np.tile(per_offset, q)
+    return np.tile(_periodic_sum(window ** 2, hop), window.size // hop)
 
 
 def make_config(window_len: int, hop: int, window_kind: str = "hann") -> StftConfig:
@@ -157,16 +160,6 @@ def signal_length(frames: int, config: StftConfig) -> int:
     return (frames - q + 1) * config.hop
 
 
-def _pad_signal(x: np.ndarray, config: StftConfig) -> tuple[np.ndarray, int]:
-    n, r = config.window_len, config.hop
-    m = num_frames(x.size, config)
-    padded_len = (m - 1) * r + n
-    pad_front = n - r
-    out = np.zeros(padded_len, dtype=x.dtype)
-    out[pad_front : pad_front + x.size] = x
-    return out, m
-
-
 def _analyze_frames(x_padded: np.ndarray, config: StftConfig, m: int,
                     window: np.ndarray | None = None) -> np.ndarray:
     if window is None:
@@ -191,13 +184,16 @@ def stft(signal, config: StftConfig) -> Spectrogram:
 
 
 def _padded(signal, config: StftConfig) -> tuple[np.ndarray, int]:
-    """``stft``'s zero-padded input and frame count; ``signal`` as ``stft`` takes it."""
+    """``stft``'s input and frame count, ``signal`` as ``stft`` takes it: N - R
+    zeros first, so that Q frames cover every sample, and zeros to the last frame's end."""
     x = _samples(signal)
     if x.size == 0:
         raise InputError("cannot compute the STFT of an empty signal")
-    if not np.iscomplexobj(x):
-        x = x.astype(np.float64, copy=False)  # _pad_signal copies it anyway
-    return _pad_signal(x, config)
+    n, r = config.window_len, config.hop
+    m = num_frames(x.size, config)
+    out = np.zeros((m - 1) * r + n, dtype=x.dtype if np.iscomplexobj(x) else np.float64)
+    out[n - r : n - r + x.size] = x
+    return out, m
 
 
 def _samples(signal) -> np.ndarray:

@@ -797,7 +797,8 @@ class TestReconstruct:
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
     @pytest.mark.parametrize("solver", ["gd", "gla"])
-    @pytest.mark.parametrize("case", ["sr 0", "sr 2**31", "long reference"])
+    @pytest.mark.parametrize("case", ["sr 0", "sr 2**31", "long reference",
+                                      "reference rate"])
     def test_output_checks_run_before_the_solver(self, tmp_path, monkeypatch, capsys,
                                                  solver, case):
         def never(*args, **kwargs):
@@ -808,15 +809,19 @@ class TestReconstruct:
         # 6 frames of Hann 256/64: istft returns at most 6 * 64 = 384 samples.
         np.save(tmp_path / "mag.npy", np.ones((6, 256)))
         flags = {"sr 0": ["--sr", "0"], "sr 2**31": ["--sr", str(2**31)],
-                 "long reference": ["--reference", str(tmp_path / "ref.wav")]}[case]
+                 "long reference": ["--reference", str(tmp_path / "ref.wav")],
+                 # a reference that fits, at 8000 Hz against the default --sr 16000
+                 "reference rate": ["--reference", str(tmp_path / "ref384.wav")]}[case]
         make_wav(tmp_path / "ref.wav", duration=385 / 8000)
+        make_wav(tmp_path / "ref384.wav", duration=384 / 8000)
         out = tmp_path / "run"
         code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", solver,
                          *flags, "--iters", "3000", "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
         err = capsys.readouterr().err
-        assert ("length must be in [0, 384] for 6 frames" in err
-                if case == "long reference" else "does not fit a WAV header" in err)
+        assert {"long reference": "length must be in [0, 384] for 6 frames",
+                "reference rate": "is at 8000 Hz, the input at 16000 Hz"}.get(
+                    case, "does not fit a WAV header") in err
         assert not out.exists()
 
 
@@ -857,6 +862,17 @@ class TestCompare:
         assert code == cli.EXIT_WARNING
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
+
+    def test_the_wav_suffix_matches_in_any_case(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        make_wav(corpus / "A.WAV")
+        out = tmp_path / "r.csv"
+        assert cli.main(["compare", str(corpus), "--losses", "ec,cos", "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS) == cli.EXIT_OK
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert [(row[0], row[1]) for row in rows] == [(str(corpus / "A.WAV"), "ec"),
+                                                      (str(corpus / "A.WAV"), "cos")]
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_a_corpus_that_is_not_a_directory_is_an_io_error(self, tmp_path, capsys,

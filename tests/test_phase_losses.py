@@ -235,6 +235,17 @@ class TestLossAw:
         p = np.zeros((10, 8))
         assert pl.loss_aw(p, p + np.pi) == pytest.approx(80 * np.pi ** 2, rel=1e-12)
 
+    def test_gradient_is_minus_twice_the_principal_wrap(self, rng):
+        # aw wraps by the rule of the _derv losses, into (-pi, pi]; rules differ at
+        # the ties, so row 0 holds offsets of exactly +-pi and within ulps of +-3*pi
+        t = rng.uniform(-1000.0, 1000.0, (4, 64))
+        e = rng.uniform(-10.0, 10.0, t.shape)
+        near_3pi = 3 * np.pi + np.arange(-4, 5) * np.spacing(3 * np.pi)
+        t[0, :20] = np.concatenate(([np.pi, -np.pi], near_3pi, -near_3pi))
+        e[0] = 0.0
+        _, grad = pl.aw_value_and_grad(t, e)
+        assert grad.tobytes() == (-2.0 * pl.wrap_principal(t - e)).tobytes()
+
     def test_small_offset_no_wrap(self):
         p = np.zeros((10, 8))
         assert pl.loss_aw(p, p + 0.1) == pytest.approx(0.8, rel=1e-12)
