@@ -126,14 +126,14 @@ def write_wav(signal: Signal, meta: WavMeta | None, path) -> int:
     """Write a mono signal; returns the number of samples clipped (pcm16 only).
 
     pcm16 clips to [-1, 1] before quantizing by 32768; float32 is written
-    verbatim and rejects samples beyond the float32 range. A zero-length signal,
-    one too long for a RIFF file (4 GiB), or a ``meta`` other than 1 channel of
-    the signal's length is rejected. The parent directory is created once every
-    check has passed.
+    verbatim and rejects samples beyond the float32 range. Complex samples, a
+    zero-length signal, one too long for a RIFF file (4 GiB), or a ``meta`` other
+    than 1 channel of the signal's length are rejected. The parent directory is
+    created once every check has passed.
     """
     if meta is None and not isinstance(signal, Signal):
         raise InputError("a bare sample array needs a WavMeta for its sample rate")
-    x = np.asarray(_samples(signal), dtype=np.float64)
+    x = np.asarray(_samples(signal, real=True), dtype=np.float64)
     if x.size == 0:
         raise InputError("refusing to write a zero-length WAV file")
     if meta is not None and (meta.channels, meta.length) != (1, x.size):

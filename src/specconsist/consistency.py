@@ -24,6 +24,9 @@ The loss and gradient take two transforms per frame. With ``u = ifft(H)``,
 the residual is ``fft(e)`` for ``e = W * frame(OLA(N*S*u)) - u``, so by
 Parseval the loss is ``N * ||e||^2``; the adjoint's overlap-add input is
 ``OLA(N*W*e)``, so ``adjoint(C)(C H) = fft(S * frame(OLA(N*W*e)) - e)``.
+A gradient-descent run keeps one ``_Workspace``: u (H, ifft(H), then g), e, y
+and the polar builder's float parts (t, Re H, Im H), t taking the gradient; the
+transforms write into u with ``out=``, so no iteration allocates M x N.
 
 ``loss_ec`` and a spectrogram's ``metrics.consistency_measure`` take the loss
 alone in the same form, summed over blocks of ``_BLOCK`` output frames: no
@@ -155,7 +158,7 @@ def ec_loss_and_grad(mag: np.ndarray, phase: np.ndarray,
     """
     mag = _magnitude(mag, config)
     ws = _Workspace(mag.shape, config)
-    ws.loss(_polar(_phase(phase, mag.shape, "phase", finite=False), mag))
+    ws.loss(_phase(phase, mag.shape, "phase", finite=False), mag)
     return ws.gradient()
 
 
@@ -186,30 +189,33 @@ class _ErrorBuffers:
 
 
 class _Workspace(_ErrorBuffers):
-    """A gradient-descent run's buffers, with ``loss_ec`` and its gradient."""
+    """A gradient-descent run's buffers (see the module docstring), with ``loss_ec``
+    and its gradient: 3.5 complex M x N arrays' worth, at most 4 with y if Q >= 2."""
 
     def __init__(self, shape: tuple[int, int], config: StftConfig):
         super().__init__(shape, config)
-        self.grad = np.empty(shape)
+        self.u = np.empty(shape, complex)
+        self.parts = tuple(np.empty(shape) for _ in range(3))
         self.analysis_n = shape[1] * config.analysis_window
 
-    def loss(self, h: np.ndarray) -> float:
-        """``loss_ec(h)`` by Parseval: N * ||e||^2 for u = ifft(h) and e = W *
-        frame(y) - u, left in ``e``, with y = OLA(N*S*u) left in ``y``. ``h``, u
-        and the value are kept for ``gradient``."""
-        self.last_h, self.u = h, np.fft.ifft(h, axis=1)
+    def loss(self, phase: np.ndarray, mag: np.ndarray, unit=None) -> float:
+        """``loss_ec(H)``, H = mag * exp(1j * phase) (parts in ``parts``, the unit
+        phasor in ``unit`` if given), by Parseval: N * ||e||^2 for u = ifft(H), e =
+        W * frame(y) - u in ``e`` and y = OLA(N*S*u) in ``y``; u is for ``gradient``."""
+        np.fft.ifft(_polar(phase, mag, self.u, self.parts, unit), axis=1, out=self.u)
         e = self.error(self.u, self.synthesis_n, self.config.analysis_window, self.e)
         self.value = self.config.window_len * _sum_squares(e)
         return self.value
 
     def gradient(self) -> tuple[float, np.ndarray]:
-        """``(value, grad)`` of the last ``loss`` call, whose u it overwrites:
-        ``ec_loss_and_grad`` at its H, with the gradient in ``grad``."""
-        h, e, config = self.last_h, self.e, self.config
-        g = np.fft.fft(self.error(e, self.analysis_n, config.synthesis_window, self.u),
-                       axis=1)
-        g.imag *= h.real  # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
-        g.real *= h.imag
-        np.subtract(g.imag, g.real, out=self.grad)
-        self.grad *= 2.0
-        return self.value, self.grad
+        """``(value, grad)`` of the last ``loss`` call, whose u it overwrites with g:
+        ``ec_loss_and_grad`` at its H, with the gradient in ``parts[0]``."""
+        grad, h_re, h_im = self.parts
+        g = np.fft.fft(self.error(self.e, self.analysis_n, self.config.synthesis_window,
+                                  self.u), axis=1, out=self.u)
+        # 2 * Im(conj(h) * g) = 2 * (h.real * g.imag - h.imag * g.real)
+        np.multiply(g.imag, h_re, out=grad)
+        g.real *= h_im
+        grad -= g.real
+        grad *= 2.0
+        return self.value, grad

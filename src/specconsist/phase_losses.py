@@ -132,15 +132,18 @@ def _time_loss(t, mag, config, norm):
 
     Signals are ``overlap_add`` of mag e^{jP}, bitwise what ``_Workspace.loss``
     leaves in ``ws.y``: in a solver the estimate's is the one its measure has
-    just made from ``ws.last_h`` = mag e^{j p_est}. The target's is made here once;
-    with ``ws`` None the step makes the estimate's.
+    just made from H = mag e^{j p_est}, whose parts it leaves in ``ws.parts``.
+    The target's is made here once; with ``ws`` None the step makes the estimate's.
     """
     start = config.window_len - config.hop  # the padding ``stft`` puts first
     y_ref = overlap_add(_polar(t, mag), config).real[start:].copy()
 
     def step(p_est, unit=None, ws=None):
-        h = _polar(p_est, mag) if ws is None else ws.last_h
-        y = overlap_add(h, config) if ws is None else ws.y.ravel()
+        if ws is None:
+            h = _polar(p_est, mag)
+            y, h_re, h_im = overlap_add(h, config), h.real, h.imag
+        else:
+            y, (_, h_re, h_im) = ws.y.ravel(), ws.parts
         diff = y_ref - y.real[start:]
         if norm == "L2":
             value, rho = float(np.sum(diff ** 2)), -2.0 * diff
@@ -150,7 +153,7 @@ def _time_loss(t, mag, config, norm):
         # and analyze with the synthesis window at the same m frame positions.
         u = _analyze_frames(_padded(rho, config)[0], config, mag.shape[0],
                             window=config.synthesis_window)
-        return value, u.imag * h.real - u.real * h.imag  # -Im(conj(u) * h)
+        return value, u.imag * h_re - u.real * h_im  # -Im(conj(u) * h)
 
     return step
 

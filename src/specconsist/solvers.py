@@ -22,8 +22,9 @@ from .stft import (Signal, Spectrogram, StftConfig, _expand_half, _integer, _mag
 
 # name -> (bind(target, mag, config) -> step(phase, unit, ws), takes_target). A
 # step returns (value, grad) at the phase whose unit phasor is ``unit``, reading
-# the ``_Workspace`` ``ws`` whose ``loss`` the loop has just run on mag * unit.
-# ``ec`` alone takes no target: its step is that call's value and gradient.
+# the ``_Workspace`` ``ws`` whose ``loss`` the loop has just run at that phase;
+# the update then spends grad. ``ec`` alone takes no target: its step is that
+# call's value and gradient, and its ``unit`` is None.
 LOSSES = {"ec": (lambda target, mag, config: lambda phase, unit, ws: ws.gradient(), False),
           **{name: (bind, True) for name, (bind, _) in phase_losses.LOSSES.items()}}
 INITS = ("zeros", "random_uniform", "provided")
@@ -246,8 +247,9 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
 
     A target phase goes with exactly the losses that take one (``LOSSES``).
     ``_solve`` runs the loop; this returns the lowest-loss iterate. Each iteration
-    builds e^{jP} once, H = mag e^{jP} from it and the measure ``loss_ec(H)``; the
-    loss's step reads all three (``ec``'s is the measure and its gradient). With
+    builds H = mag e^{jP} (and e^{jP} for a target loss) and the measure
+    ``loss_ec(H)`` in place in the workspace; the loss's step reads them (``ec``'s
+    is the measure and its gradient). With
     ``measure`` False a target loss's step is called as ``step(phase, None,
     None)`` and builds what it needs, no measure is taken and every record's
     ``consistency_measure`` is NaN; the phases, losses and steps are the same.
@@ -269,33 +271,33 @@ def gd_reconstruct(mag, loss: str, target_phase, opts: SolverOptions,
     loss_step = bind(target_phase, mag, config)  # before the workspace: peaks never add
     measure = measure or not takes_target  # ec's loss is the measure
     if measure:
-        unit, h = np.empty(mag.shape, complex), np.empty(mag.shape, complex)
+        unit = np.empty(mag.shape, complex) if takes_target else None
         workspace = _Workspace(mag.shape, config)
     best_loss, best_phase = np.inf, phase.copy()
 
     def steps(trace):
-        nonlocal phase, best_loss, best_phase
+        nonlocal best_loss
         peak_sq = _peak_square(mag, opts)
         use_c1c2 = opts.parameterization == "c1_c2"
         if use_c1c2:
             c1, c2 = np.sin(phase), np.cos(phase)
         for k in count():
             if use_c1c2:
-                phase = np.arctan2(c1, c2)
+                np.arctan2(c1, c2, out=phase)
             if measure:
-                ec = workspace.loss(np.multiply(_polar(phase, out=unit), mag, out=h))
+                ec = workspace.loss(phase, mag, unit)
                 value, grad = loss_step(phase, unit, workspace)
             else:
                 ec, (value, grad) = None, loss_step(phase, None, None)
             step = _step_size(k, opts, peak_sq)
             if value < best_loss:  # false for NaN and +inf; no loss is -inf
-                best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
+                best_loss, trace.best_iteration, best_phase[:] = value, k, phase
             yield value, ec, step
             if use_c1c2:
                 r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
                 c1, c2 = c1 - step * (grad * c2 / r_sq), c2 - step * (-grad * c1 / r_sq)
-            else:
-                phase = phase - step * grad
+            else:  # phase - step * grad, in place; the step's grad is spent
+                np.subtract(phase, np.multiply(grad, step, out=grad), out=phase)
 
     return _solve(mag, opts, f"loss {loss!r}", steps, lambda trace: (best_phase, best_loss))
 

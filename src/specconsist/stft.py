@@ -53,13 +53,13 @@ class StftConfig:
 
 @dataclass
 class Signal:
-    """Real time-domain samples plus sample-rate metadata."""
+    """Real time-domain samples (complex ones are an InputError) and a sample rate."""
 
     samples: np.ndarray
     sample_rate: int = 1
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(_samples(self.samples), dtype=np.float64)
+        self.samples = np.ascontiguousarray(_samples(self.samples, real=True), dtype=float)
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise InputError("signal contains non-finite samples")
         self.sample_rate = _integer(self.sample_rate, "sample_rate", 1)
@@ -196,11 +196,13 @@ def _padded(signal, config: StftConfig) -> tuple[np.ndarray, int]:
     return out, m
 
 
-def _samples(signal) -> np.ndarray:
-    """The samples of a Signal, or ``signal`` as an array; either must be 1-D."""
+def _samples(signal, real: bool = False) -> np.ndarray:
+    """The samples of a Signal, or ``signal`` as an array: 1-D, and real under ``real``."""
     x = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
     if x.ndim != 1:
         raise InputError(f"a signal must be 1-D, got shape {x.shape}")
+    if real and np.iscomplexobj(x):
+        raise InputError("signal samples must be real, got a complex array")
     return x
 
 
@@ -299,26 +301,27 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(total)
 
 
-def _polar(phase: np.ndarray, mag: np.ndarray | None = None,
-           out: np.ndarray | None = None) -> np.ndarray:
+def _polar(phase: np.ndarray, mag: np.ndarray | None = None, out: np.ndarray | None = None,
+           parts: tuple | None = None, unit: np.ndarray | None = None) -> np.ndarray:
     """``mag * exp(1j * phase)`` into ``out``; the unit phasor when ``mag`` is None.
 
     The solvers, the losses and ``reconstruct_signal`` build every such array
-    here, from one tangent: with t = tan(phase / 2), cos = (1-t)(1+t) / (1+t^2)
-    and sin = 2t / (1+t^2). numpy's float64 cos and sin run scalar code, its tan
-    SIMD code. Every entry is within 4 ulp(1) * mag of ``mag * np.exp(1j *
-    phase)``, with or without AVX-512 (a test checks both); a phase of -0.0
-    keeps its sign in the imaginary part, and a non-finite phase gives NaN
-    without a warning. numpy picks its tan kernel by CPU, so the bits are the
-    same on one host and numpy build, and within the bound across CPUs.
+    here, from one tangent: with t = tan(phase / 2), cos = (1+t)(1-t) / (1+t^2)
+    and sin = 2t / (1+t^2), each times ``mag`` (numpy's float64 cos and sin run
+    scalar code, its tan SIMD code). Each step runs on contiguous float arrays,
+    ``parts`` = (t, cos, sin) if given, which end as ``out``'s real and imaginary
+    parts, written once each; ``unit``, if given, gets the unit phasor. Every
+    entry is within 4 ulp(1) * mag of ``mag * np.exp(1j * phase)`` with or
+    without AVX-512 (a test checks both); numpy picks its tan kernel by CPU, so
+    the bits are the same on one host and numpy build. A phase of -0.0 keeps its
+    sign in the imaginary part; a non-finite one gives NaN without a warning.
+    Against the complex product of the unit phasor and ``mag``, only the sign of
+    a zero can differ (``mag`` 0 or the phase -0.0).
     """
-    if out is None:
-        out = np.empty(np.shape(phase), complex)
-    cos, sin = out.real, out.imag
+    t, cos, sin = np.empty((3,) + np.shape(phase)) if parts is None else parts
     with np.errstate(invalid="ignore"):  # tan of inf is NaN
-        t = np.multiply(phase, 0.5)
+        np.multiply(phase, 0.5, out=t)
         np.tan(t, out=t)
-    # ``sin`` holds 1 - t, then 1 + t^2, then the sine
     np.add(t, 1.0, out=cos)
     np.subtract(1.0, t, out=sin)
     cos *= sin
@@ -327,8 +330,13 @@ def _polar(phase: np.ndarray, mag: np.ndarray | None = None,
     cos /= sin
     t += t
     np.divide(t, sin, out=sin)
+    if unit is not None:
+        unit.real, unit.imag = cos, sin
     if mag is not None:
-        out *= mag
+        cos *= mag
+        sin *= mag
+    out = np.empty(np.shape(phase), complex) if out is None else out
+    out.real, out.imag = cos, sin
     return out
 
 
@@ -360,10 +368,12 @@ def _add_blocks(frames: np.ndarray, config: StftConfig, out: np.ndarray) -> np.n
     """Overlap-add M x N time-domain ``frames`` into ``out`` ((M+Q-1) x R), flat."""
     (m, _), q = frames.shape, config.overlap_factor
     blocks = frames.reshape(m, q, config.hop)
-    out.fill(0)
     # Block j of frame i lands on output block i + j. Descending j adds the
-    # frames covering each output block in ascending frame order.
-    for j in reversed(range(q)):
+    # frames covering each output block in ascending frame order; the first,
+    # block Q-1, as x + 0.0 (0.0 + x to the bit), on all but the zeroed Q-1 rows.
+    out[: q - 1].fill(0)
+    np.add(blocks[:, q - 1], 0.0, out=out[q - 1 :])
+    for j in reversed(range(q - 1)):
         out[j : j + m] += blocks[:, j]
     return out.ravel()
 

@@ -177,6 +177,19 @@ def test_a_signal_is_one_d(tmp_path, call):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("imag", [0.0, 0.5])
+@pytest.mark.parametrize("call", [
+    lambda x, path: sc.Signal(x),
+    lambda x, path: sc.write_wav(x, sc.WavMeta(8000, 1, "float32", 5), path),
+], ids=["Signal", "write_wav"])
+def test_a_signal_is_real(tmp_path, call, imag):
+    # numpy would cast away the imaginary part with only a ComplexWarning
+    path = tmp_path / "x.wav"
+    with pytest.raises(sc.InputError, match="must be real"):
+        call(np.full(5, 0.1 + 1j * imag), path)
+    assert not path.exists()
+
+
 # name -> f(mag, target, p_est) -> the array arguments it passed, for every
 # public one-shot form of a phase loss
 ONE_SHOT_LOSSES = {

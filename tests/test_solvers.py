@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from specconsist import consistency, solvers
 from specconsist.consistency import get_kernel, loss_ec
 from specconsist.solvers import SolverOptions, gd_reconstruct, griffin_lim
 from specconsist.stft import _polar, _sum_squares, istft, signal_length, stft
+
+from conftest import strided_polar, zero_filled_add_blocks
 
 # Frozen once from this implementation (two-sinusoid magnitude, defaults,
 # seed 7); guards the descent path against regressions.
@@ -241,6 +245,102 @@ def reference_gd_reconstruct(mag, loss, target, opts, config):
             prev = value
     trace.final_loss = best_loss
     return best_phase, trace
+
+
+class FreshBuffers:
+    """The gd loop's ``_Workspace`` with a new array for every result: the oracle of
+    its buffer reuse. ``loss`` takes H = ``strided_polar(phase) * mag``, a complex
+    product; the overlap-adds are zero-filled sums; u, e and g are new arrays. It
+    holds what a loss's step reads: ``y`` and ``parts`` (None, Re H, Im H)."""
+
+    def __init__(self, config, mag):
+        self.config, self.mag = config, mag
+        m, n = mag.shape
+        self.y = np.empty((m + config.overlap_factor - 1, config.hop), complex)
+        self.framed = np.lib.stride_tricks.sliding_window_view(
+            self.y.ravel(), n)[:: config.hop][:m]
+
+    def error(self, x, scaled, window):
+        """``window * frame(OLA(scaled * x)) - x`` as a new array."""
+        zero_filled_add_blocks(x * scaled, self.config, self.y)
+        return self.framed * window - x
+
+    def loss(self, unit):
+        n, config = self.mag.shape[1], self.config
+        self.h = unit * self.mag
+        self.parts = (None, self.h.real, self.h.imag)
+        self.e = self.error(np.fft.ifft(self.h, axis=1), n * config.synthesis_window,
+                            config.analysis_window)
+        self.value = n * _sum_squares(self.e)
+        return self.value
+
+    def gradient(self):
+        n, config, h = self.mag.shape[1], self.config, self.h
+        g = np.fft.fft(self.error(self.e, n * config.analysis_window,
+                                  config.synthesis_window), axis=1)
+        g.imag *= h.real
+        g.real *= h.imag
+        return self.value, 2.0 * (g.imag - g.real)
+
+
+def reference_gd_loop(mag, loss, target, opts, config, measure=True):
+    """``gd_reconstruct`` with new arrays for every phase, phasor, H and gradient:
+    the oracle of the loop's buffer reuse. It runs the same ``solvers.LOSSES``
+    steps and ``_solve`` on ``FreshBuffers``."""
+    bind, takes_target = solvers.LOSSES[loss]
+    phase = solvers._initial_phase(mag.shape, opts)
+    loss_step = bind(target, mag, config)
+    measure = measure or not takes_target
+    best_loss, best_phase = np.inf, phase.copy()
+
+    def steps(trace):
+        nonlocal phase, best_loss, best_phase
+        peak_sq = solvers._peak_square(mag, opts)
+        use_c1c2 = opts.parameterization == "c1_c2"
+        if use_c1c2:
+            c1, c2 = np.sin(phase), np.cos(phase)
+        for k in range(opts.max_iters):
+            if use_c1c2:
+                phase = np.arctan2(c1, c2)
+            if measure:
+                unit, ws = strided_polar(phase), FreshBuffers(config, mag)
+                ec = ws.loss(unit)
+                value, grad = loss_step(phase, unit, ws)
+            else:
+                ec, (value, grad) = None, loss_step(phase, None, None)
+            step = solvers._step_size(k, opts, peak_sq)
+            if value < best_loss:
+                best_loss, best_phase, trace.best_iteration = value, phase.copy(), k
+            yield value, ec, step
+            if use_c1c2:
+                r_sq = np.maximum(c1 ** 2 + c2 ** 2, 1e-300)
+                c1, c2 = c1 - step * (grad * c2 / r_sq), c2 - step * (-grad * c1 / r_sq)
+            else:
+                phase = phase - step * grad
+
+    return solvers._solve(mag, opts, f"loss {loss!r}", steps,
+                          lambda trace: (best_phase, best_loss))
+
+
+def assert_bitwise_same_run(got, want, initial):
+    """Byte-equal phases, records, best iterations and final losses; equal messages.
+
+    The one exception: where the ``initial`` phase is -0.0, a returned phase of
+    zero may differ in sign. H's parts are real products, the oracle's a complex
+    one, so their zeros' signs can differ (see ``stft._polar``); a zero gradient
+    then moves -0.0 to +0.0 in one run and not in the other.
+    """
+    (phase, trace, message), (want_phase, want, want_message) = got, want
+    assert message == want_message
+    assert (phase is None) == (want_phase is None)
+    if phase is not None:
+        moved = phase.view(np.int64) != want_phase.view(np.int64)
+        assert np.all((phase[moved] == 0.0) & (want_phase[moved] == 0.0))
+        assert np.all((initial[moved] == 0.0) & np.signbit(initial[moved]))
+    fields = [[dataclasses.astuple(r) for r in t.records] for t in (trace, want)]
+    assert np.array(fields[0], float).tobytes() == np.array(fields[1], float).tobytes()
+    assert trace.best_iteration == want.best_iteration
+    assert np.float64(trace.final_loss).tobytes() == np.float64(want.final_loss).tobytes()
 
 
 def run_both(solve, oracle):
@@ -614,6 +714,43 @@ class TestGdReconstruct:
             lambda: gd_reconstruct(mag, loss, target, opts, config),
             lambda: reference_gd_reconstruct(mag, loss, target, opts, config)))
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_fresh_buffer_oracle(self, data):
+        # Q = 1 (rectangular only: Hann has no dual window there) and Q = 3 give
+        # odd N; M = 1 .. 3Q puts every frame near an edge. Zero magnitudes and
+        # initial phases of -0.0 are where H's zeros may differ in sign from the
+        # oracle's complex product (see ``assert_bitwise_same_run``).
+        draw = data.draw
+        kind, q = draw(st.sampled_from([("rectangular", 1), ("rectangular", 2),
+                                        ("hann", 2), ("hann", 3), ("rectangular", 4),
+                                        ("hann", 4)]))
+        r = draw(st.integers(1, 9))
+        config = sc.make_config(q * r, r, kind)
+        m = draw(st.integers(1, 3 * q))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        mag = rng.uniform(0.0, 2.0, (m, config.window_len))
+        mag[rng.random(mag.shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+        loss = draw(st.sampled_from(list(solvers.LOSSES)))
+        target = rng.uniform(-np.pi, np.pi, mag.shape) if solvers.LOSSES[loss][1] else None
+        init = draw(st.sampled_from(["zeros", "random_uniform", "provided"]))
+        init_phase = rng.uniform(-np.pi, np.pi, mag.shape)
+        init_phase[rng.random(mag.shape) < 0.2] = -0.0
+        step = draw(st.sampled_from([1e-3, 0.05, 1e308]))  # 1e308: the iterate diverges
+        opts = dict(max_iters=draw(st.integers(1, 5)), seed=draw(st.integers(0, 9)),
+                    step_rule=draw(st.sampled_from(["fixed", "cosine_anneal"])),
+                    initial_step=step, init=init,
+                    init_phase=init_phase if init == "provided" else None,
+                    parameterization=draw(st.sampled_from(solvers.PARAMETERIZATIONS)),
+                    tolerance=draw(st.sampled_from([0.0, 1e-3])))
+        measure = draw(st.booleans())
+        assert_bitwise_same_run(*run_both(
+            lambda: gd_reconstruct(mag, loss, target, SolverOptions(**opts), config,
+                                   measure=measure),
+            lambda: reference_gd_loop(mag, loss, target, SolverOptions(**opts), config,
+                                      measure)),
+            solvers._initial_phase(mag.shape, SolverOptions(**opts)))
+
     @pytest.mark.parametrize("step", [0.05, 1e308])  # 1e308: the iterate diverges
     @pytest.mark.parametrize("parameterization", solvers.PARAMETERIZATIONS)
     @pytest.mark.parametrize("loss", list(solvers.LOSSES))
@@ -674,6 +811,35 @@ class TestGdReconstruct:
         steps = [rec.step_size for rec in trace.records]
         assert steps[0] == pytest.approx(1e-3)
         assert steps[-1] == pytest.approx(1e-5)
+
+    def test_ec_iterations_allocate_no_frame_sized_array(self, cfg_512_128, monkeypatch):
+        # From the first ``loss`` call on, the traced peak is the workspace's
+        # arrays (4 complex M x N ones, its docstring says), the phase and the
+        # best phase (one more), and two of numpy's 8192-element buffers for
+        # the float-to-complex casts of the window products; the slack is 0.1
+        # array, so a float M x N temporary per iteration (0.5) would exceed
+        # it. Measured: 5.15 arrays, 6.89 when each iteration allocated its u,
+        # g, unit phasor and update.
+        mag = np.random.default_rng(3).uniform(0.0, 1.0, (129, 512))
+        one_array = mag.size * 16  # complex128
+        cast_buffers = 2 * 8192 * 16
+
+        class ResetAtFirstLoss(consistency._Workspace):
+            def loss(self, *args):
+                if not hasattr(self, "value"):
+                    tracemalloc.reset_peak()
+                return super().loss(*args)
+
+        monkeypatch.setattr(solvers, "_Workspace", ResetAtFirstLoss)
+        tracemalloc.start()
+        try:
+            _, trace = gd_reconstruct(mag, "ec", None, SolverOptions(max_iters=4),
+                                      cfg_512_128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 4
+        assert peak <= (4 + 1 + 0.1) * one_array + cast_buffers
 
     def test_relative_step_is_the_hand_scaled_fixed_step(self, cfg_64_16, rng):
         mag = 3.0 * rng.uniform(0, 1, (8, 64))

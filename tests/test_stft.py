@@ -17,8 +17,10 @@ from specconsist import (ConfigError, DegenerateWindowError, InputError,
                          grad_loss_ec_phase, istft, loss_ec, loss_ec_phase,
                          loss_time, make_config, num_frames, overlap_add,
                          project, residual, stft)
-from specconsist.stft import (_SUM_ROW, _polar, _shifted_square_sum, _sum_squares,
-                              signal_length)
+from specconsist.stft import (_SUM_ROW, _add_blocks, _polar, _shifted_square_sum,
+                              _sum_squares, signal_length)
+
+from conftest import strided_polar, zero_filled_add_blocks
 
 
 def naive_stft(x, config):
@@ -226,6 +228,31 @@ class TestIstft:
         assert np.abs(y.imag).max() < 1e-12
 
 
+class TestAddBlocks:
+    """``_add_blocks`` writes each frame's last block as x + 0.0 and zero-fills only
+    the Q-1 rows that block misses; the zero-filled sum is its oracle."""
+
+    @pytest.mark.parametrize("dtype", [complex, float])  # float: Griffin-Lim's frames
+    @pytest.mark.parametrize("m", [1, 2, 4, 60])  # 2 < Q - 1, Q, many frames
+    @pytest.mark.parametrize("shape", [(16, 4, "hann"), (12, 3, "hann"),
+                                       (8, 8, "rectangular"), (63, 21, "hann")])
+    def test_bitwise_equal_to_the_zero_filled_sum(self, rng, dtype, m, shape):
+        config = make_config(*shape)
+        frames = rng.standard_normal((m, config.window_len))
+        if dtype is complex:
+            frames = frames + 1j * rng.standard_normal(frames.shape)
+        frames.flat[::3] = -0.0  # 0.0 + -0.0 is +0.0: a copy would keep the sign
+        frames.flat[1::7] = 0.0
+        frames.flat[2::11] = [np.nan, np.inf, -np.inf][m % 3]
+        rows = (m + config.overlap_factor - 1, config.hop)
+        out, want = np.full(rows, np.nan, dtype), np.full(rows, 7.0, dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = _add_blocks(frames, config, out)
+            zero_filled_add_blocks(frames, config, want)
+        assert np.shares_memory(got, out) and got.size == out.size
+        assert out.tobytes() == want.tobytes()
+
+
 class TestHalfSpectrum:
     def test_expand_complex_matches_full_stft(self, cfg_64_16, rng):
         x = rng.standard_normal(200)
@@ -262,6 +289,20 @@ class TestHalfSpectrum:
 
 
 class TestSignal:
+    @settings(max_examples=60, deadline=None)
+    @given(re=arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.0, 1.0)),
+           imag=st.sampled_from(["zero", "nonzero"]), seed=st.integers(0, 2**16))
+    def test_rejects_complex_samples(self, cfg_64_16, re, imag, seed):
+        # Signal would keep only Re(x); a bare complex array stays an stft input
+        x = re + 1j * (0.0 if imag == "zero"
+                       else np.random.default_rng(seed).uniform(0.1, 1.0, re.size))
+        for rate in (1, 8000):
+            with pytest.raises(InputError, match="must be real"):
+                Signal(x, sample_rate=rate)
+        np.testing.assert_allclose(stft(x, cfg_64_16).data,
+                                   stft(x.real, cfg_64_16).data
+                                   + 1j * stft(x.imag, cfg_64_16).data, atol=1e-12)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             Signal(np.array([0.0, np.inf]))
@@ -422,6 +463,32 @@ class TestPolar:
         h = np.load(tmp_path / "h.npy")
         want = mag * np.exp(1j * phase)
         assert np.all(np.abs(h - want) <= POLAR_ULPS * np.finfo(np.float64).eps * mag)
+
+    @settings(max_examples=150, deadline=None)
+    @given(phase=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 40)),
+                        elements=st.one_of(
+               st.sampled_from(_POLAR_SPECIAL), st.floats(-1e4, 1e4),
+               st.floats(-1e300, 1e300), st.sampled_from([np.inf, -np.inf, np.nan]))),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+    def test_matches_the_strided_builder(self, phase, zeros, seed):
+        # The unit phasor is bitwise the strided builder's. Scaled by mag, the
+        # parts are real products where the oracle takes a complex one: every
+        # bit agrees except the sign of a zero.
+        rng = np.random.default_rng(seed)
+        mag = rng.uniform(0.0, 3.0, phase.shape)
+        mag[rng.random(phase.shape) < zeros] = 0.0
+        assert _polar(phase).tobytes() == strided_polar(phase).tobytes()
+        parts = tuple(np.full(phase.shape, np.nan) for _ in range(3))
+        unit, out = np.empty(phase.shape, complex), np.empty(phase.shape, complex)
+        assert _polar(phase, mag, out, parts, unit) is out
+        assert unit.tobytes() == strided_polar(phase).tobytes()
+        assert parts[1].tobytes() == out.real.tobytes()
+        assert parts[2].tobytes() == out.imag.tobytes()
+        want = strided_polar(phase, mag)
+        assert np.array_equal(out, want, equal_nan=True)
+        for got_part, want_part in ((out.real, want.real), (out.imag, want.imag)):
+            nonzero = want_part != 0.0
+            assert got_part[nonzero].tobytes() == want_part[nonzero].tobytes()
 
     def test_negative_zero_phase_keeps_its_sign(self):
         # sin(-0.0) is -0.0, while 1j * -0.0 has a +0.0 imaginary part before exp
