@@ -177,18 +177,18 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     least-squares step; the inconsistency ``||A e^{jP} - STFT(iSTFT(A e^{jP}))||^2``
     is then non-increasing at every iteration. It is the loss that ``_solve`` runs on.
 
-    The projection keeps only the Hermitian part of its input, so the iterate
-    is the STFT of a real signal: its unit phasor c and the mirror-symmetric
+    The iterate is the STFT of a real signal from the start: with c the unit
+    phasor of the initial phase, it starts from the unit phasor of
+    c[k] + conj(c[N-k]) on N/2+1 bins (1 where that sum is 0), the nearest one
+    whose H is Hermitian, and H = c * mag carries the mirror-symmetric
     magnitude ``(mag[k] + mag[N-k]) / 2``, all of ``mag`` that reaches the
-    projection, are carried on N/2+1 bins. With u = irfft(c * mag), the
-    overlap-add y gives the trace's measure ``loss_ec`` = N * ||W*frame(y) -
-    u||^2 (see ``consistency``) and, masked to the samples ``istft`` keeps,
-    the projection Z = rfft(W*frame(y)) and the inconsistency, the same sum
-    by Parseval. c becomes Z/|Z| where Z is nonzero, so no angle, cos or sin
-    is taken in the loop. Record 0 and ``final_loss`` score phases that need
-    not be odd: the anti-Hermitian part A of their H adds ||A||^2 to the
-    inconsistency and ||C A||^2 to the measure. The returned phase is the odd
-    extension of angle(c) on bins that ever moved, the initial phase elsewhere.
+    projection. With u = irfft(c * mag), the overlap-add y gives the trace's
+    measure ``loss_ec`` = N * ||W*frame(y) - u||^2 (see ``consistency``) and,
+    masked to the samples ``istft`` keeps, the projection Z = rfft(W*frame(y))
+    and the inconsistency, the same sum by Parseval. c becomes Z/|Z| where Z
+    is nonzero, so no angle, cos or sin is taken in the loop. The returned
+    phase is the odd extension of angle(c) on every bin; ``final_loss``
+    projects it once more.
     """
     opts.validate()
     mag = _magnitude(mag, config)
@@ -197,9 +197,10 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
     with np.errstate(over="ignore"):  # a sum past the float range diverges in _solve
         mag = (mag + mag[:, -np.arange(n)]) / 2
     half = np.ascontiguousarray(mag[:, :bins])
-    phase = _initial_phase(mag.shape, opts)
-    unit = _polar(phase[:, :bins])
-    moved, h_half = np.zeros(unit.shape, bool), np.empty_like(unit)
+    c = _polar(_initial_phase(mag.shape, opts))
+    hermitian = c[:, :bins] + np.conj(c[:, -np.arange(bins)])
+    unit, h_half = np.ones_like(hermitian), np.empty_like(hermitian)
+    _unit_phasor(hermitian, np.abs(hermitian), unit)
     ws = _ErrorBuffers(mag.shape, config, float)
     start, y = n - config.hop, ws.y.ravel()
     dropped = (y[:start], y[start + signal_length(mag.shape[0], config):])  # by istft
@@ -215,27 +216,16 @@ def griffin_lim(mag, opts: SolverOptions, config: StftConfig
         z = np.fft.rfft(f, axis=1)
         return measure, z, n * _sum_squares(np.subtract(f, u, out=f))
 
-    def split(full):
-        """``project``'s triple for any M x N array: its Hermitian part is projected;
-        its anti-Hermitian part A = jB, B Hermitian, adds ||A||^2 = N * ||b||^2
-        and ||C A||^2 = ||C B||^2 for b = irfft(B)."""
-        head, mirror = full[:, :bins], np.conj(full[:, -np.arange(bins)])
-        measure, z, inconsistency = project((head + mirror) / 2)
-        b = np.fft.irfft((head - mirror) * -0.5j, n, axis=1)
-        e = ws.error(b, ws.synthesis_n, window, ws.e)
-        return measure + n * _sum_squares(e), z, inconsistency + n * _sum_squares(b)
-
     def steps(trace):
-        measure, z, inconsistency = split(_polar(phase, mag))
         while True:
-            np.logical_or(moved, _unit_phasor(z, np.abs(z), unit), out=moved)
-            yield inconsistency, measure, 0.0
             measure, z, inconsistency = project(np.multiply(unit, half, out=h_half))
+            _unit_phasor(z, np.abs(z), unit)
+            yield inconsistency, measure, 0.0
 
     def finish(trace):
         trace.best_iteration = len(trace.records) - 1
-        out = np.where(_expand_half(moved, n), np.angle(_expand_half(unit, n)), phase)
-        return out, split(_polar(out, mag))[2]
+        out = np.angle(_expand_half(unit, n))
+        return out, project(_polar(out[:, :bins], half))[2]
 
     return _solve(mag, opts, "inconsistency", steps, finish)
 

@@ -340,13 +340,12 @@ def _polar(phase: np.ndarray, mag: np.ndarray | None = None, out: np.ndarray | N
     return out
 
 
-def _unit_phasor(z: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``z / r`` into ``out`` where ``r > 0``, ``out`` unchanged elsewhere; returns
-    that mask. With ``r = |z|`` this is z's unit phasor, from real divisions."""
+def _unit_phasor(z: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """``z / r`` into ``out`` where ``r > 0``, ``out`` unchanged elsewhere. With
+    ``r = |z|`` this is z's unit phasor, from real divisions."""
     nonzero = r > 0.0
     np.divide(z.real, r, out=out.real, where=nonzero)
     np.divide(z.imag, r, out=out.imag, where=nonzero)
-    return nonzero
 
 
 def overlap_add(spec, config: StftConfig | None = None) -> np.ndarray:
