@@ -485,6 +485,25 @@ class TestGriffinLim:
             np.testing.assert_array_equal(got[1].consistency_measures,
                                           want[1].consistency_measures)
 
+    @pytest.mark.parametrize("n, r, kind", [(64, 16, "hann"), (63, 21, "hann"),
+                                            (16, 16, "rectangular")])
+    def test_returned_phase_is_odd_on_moved_bins(self, rng, n, r, kind):
+        # The Hermitian start moves every bin of a non-odd initial phase, so
+        # the returned phase is odd on every row. With Q = 1 frame 2's
+        # projection is zero: it keeps the start, which is odd too.
+        config = sc.make_config(n, r, kind)
+        mag = stft(rng.standard_normal(signal_length(20, config)), config).magnitude
+        mag[2] = 0.0 if r == n else mag[2]
+        init = rng.uniform(-np.pi, np.pi, mag.shape)
+        opts = SolverOptions(max_iters=5, init="provided", init_phase=init)
+        phase, _ = griffin_lim(mag, opts, config)
+        if r == n:
+            np.testing.assert_array_equal(phase[2], np.angle(hermitian_start(init))[2])
+        own = [0, n // 2] if n % 2 == 0 else [0]  # bins that are their own mirror
+        pairs = np.setdiff1d(np.arange(n), own)
+        np.testing.assert_array_equal(phase[:, pairs], -phase[:, -pairs])
+        assert set(np.abs(phase[:, own]).ravel()) <= {0.0, np.pi}
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_returned_phase_is_odd_and_the_trace_never_rises(self, data):
