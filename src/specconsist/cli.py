@@ -34,6 +34,8 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 TRACE_COLUMNS = ("iter", "loss", "consistency_measure", "step_size")
+COMPARE_COLUMNS = ("file", "loss", "final_loss", "consistency_measure",
+                   "aligned_snr_db", "spectral_convergence_db")
 
 SOLVER_KINDS = ("gla", "gd")
 
@@ -71,14 +73,15 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
     """Defaults <- config file <- CLI flags, validated against preconditions."""
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     if config_path is not None:
-        try:
-            with open(config_path) as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {config_path} is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise InputError("config file must contain a JSON object")
-        resolved = _deep_merge(resolved, file_cfg)
+        try:  # JSON bytes: UTF-8, or UTF-16/32 by detection
+            file_cfg = json.loads(Path(config_path).read_bytes())
+            if not isinstance(file_cfg, dict):
+                raise InputError("config file must contain a JSON object")
+            resolved = _deep_merge(resolved, file_cfg)
+        # bytes that do not decode, an integer too long for int(), or nesting
+        # too deep to parse or to copy
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"config file {config_path} is not usable JSON: {exc}") from None
     if overrides:
         resolved = _deep_merge(resolved, overrides)
     # Fail early on anything the modules would reject, unknown keys first.
@@ -143,21 +146,31 @@ def _config_overrides(args) -> dict:
     return over
 
 
-def _write_report(path: Path, payload: dict):
+def _environment() -> dict:
+    """numpy's version and SIMD dispatch: the last bits of a run follow them,
+    through numpy's tan, abs and angle kernels."""
+    return {"numpy": np.__version__,
+            "simd_extensions": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
+def _write_report(path: Path, command: str, cfg: dict, source: dict, results: dict):
+    report = {"command": command, "config": cfg, "input": source, "results": results,
+              "environment": _environment()}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_trace(path: Path, trace: solvers.SolveTrace):
+def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow([rec.iteration, rec.loss,
-                             rec.consistency_measure, rec.step_size])
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _write_trace(path: Path, trace: solvers.SolveTrace):
+    _write_csv(path, TRACE_COLUMNS, ([rec.iteration, rec.loss, rec.consistency_measure,
+                                      rec.step_size] for rec in trace.records))
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +183,12 @@ def cmd_analyze(args) -> int:
     signal, meta = audio_io.read_wav(args.input, downmix=args.downmix)
     measure = metrics.consistency_measure(signal, config)
     frames = num_frames(len(signal), config)
-    report = {
-        "command": "analyze",
-        "config": cfg,
-        "input": {"path": str(args.input), "samples": len(signal),
-                  "sample_rate": meta.sample_rate, "encoding": meta.encoding},
-        "results": {
-            "consistency_measure": measure,
-            "frames": frames,
-            "bins": config.window_len,
-        },
-        "environment": _environment(),
-    }
     out = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "report.json"
-    _write_report(out, report)
+    _write_report(out, "analyze", cfg,
+                  {"path": str(args.input), "samples": len(signal),
+                   "sample_rate": meta.sample_rate, "encoding": meta.encoding},
+                  {"consistency_measure": measure, "frames": frames,
+                   "bins": config.window_len})
     print(f"consistency_measure={measure:.6e} frames={frames} "
           f"bins={config.window_len} -> {out}")
     return EXIT_OK
@@ -305,24 +310,12 @@ def cmd_reconstruct(args) -> int:
                                                len(recon)),
                        out_dir / "out.wav")
     _write_trace(out_dir / "trace.csv", trace)
-    _write_report(out_dir / "report.json", {
-        "command": "reconstruct",
-        "config": cfg,
-        "input": {"path": str(args.input)},
-        "results": results,
-        "environment": _environment(),
-    })
+    _write_report(out_dir / "report.json", "reconstruct", cfg, {"path": str(args.input)},
+                  results)
     print(f"{solver_kind}: loss {results['initial_loss']:.6e} -> "
           f"{results['final_loss']:.6e} in {results['iterations']} iterations "
           f"-> {out_dir}")
     return EXIT_OK
-
-
-def _environment() -> dict:
-    """numpy's version and SIMD dispatch: the last bits of a run follow them,
-    through numpy's tan, abs and angle kernels."""
-    return {"numpy": np.__version__,
-            "simd_extensions": np.show_config(mode="dicts")["SIMD Extensions"]}
 
 
 def _compare_one(path: Path, loss_names, cfg, config):
@@ -361,22 +354,17 @@ def cmd_compare(args) -> int:
                     if name.lower().endswith(".wav"))
     out_path = Path(args.out) if args.out else Path(cfg["io"]["output_dir"]) / "results.csv"
 
-    header = ["file", "loss", "final_loss", "consistency_measure",
-              "aligned_snr_db", "spectral_convergence_db"]
-    text = os.environ.get("SPECCONSIST_THREADS", "1")  # _integer rejects any other string
-    threads = _integer(int(text) if text.strip().isdecimal() else text,
-                       "SPECCONSIST_THREADS", 1)
+    text = os.environ.get("SPECCONSIST_THREADS", "1")
+    try:  # _integer rejects any string left, such as one too long for int()
+        text = int(text) if text.strip().isdecimal() else text
+    except ValueError:
+        pass
+    threads = _integer(text, "SPECCONSIST_THREADS", 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         per_file = list(pool.map(
             lambda p: _compare_one(p, loss_names, cfg, config), corpus))
 
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rows in per_file:
-            for row in rows:
-                writer.writerow(row)
+    _write_csv(out_path, COMPARE_COLUMNS, (row for rows in per_file for row in rows))
 
     if not corpus:
         print(f"warning: no WAV files in {args.corpus}; wrote header-only CSV",

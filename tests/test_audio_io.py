@@ -299,6 +299,15 @@ class TestWriteWav:
         write_wav(sc.Signal(np.zeros(8), 8000), None, path)
         assert read_wav(path)[1] == WavMeta(8000, 1, "float32", 8)
 
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_input_errors_and_write_nothing(self, tmp_path,
+                                                                   encoding, bad):
+        path = tmp_path / "out" / "s.wav"
+        with pytest.raises(sc.InputError, match="samples must be finite"):
+            write_wav(np.array([0.0, bad]), WavMeta(8000, 1, encoding, 2), path)
+        assert not path.parent.exists()
+
 
 # Any parameter value: a scalar of any type, a list of them or a nested list.
 _SYNTH_SCALARS = st.one_of(

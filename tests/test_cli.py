@@ -175,6 +175,52 @@ class TestResolveConfig:
                          "--out", str(out)]) == cli.EXIT_OK
         assert json.loads((out / "report.json").read_text())["results"]["eval"]
 
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+    @pytest.mark.parametrize("content", [
+        b"\xff{}",  # not UTF-8
+        b'{"io": {"output_dir": "\xe9"}}',  # Latin-1
+        b"[" * 100000,  # nested past the parser's recursion limit
+        b'{"seed": ' + b"[" * 600 + b"]" * 600 + b"}",  # parses, too deep to copy
+        b'{"seed": ' + b"1" * 5000 + b"}",  # more digits than int() converts
+    ], ids=["not utf-8", "latin-1", "deep", "deep copy", "long integer"])
+    def test_a_file_that_is_not_usable_json_is_input_error(self, tmp_path, capsys,
+                                                           command, content):
+        wav, out = tmp_path / "in.wav", tmp_path / "run"
+        make_wav(wav, duration=0.05)
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_bytes(content)
+        target = out / "report.json" if command == "analyze" else out
+        assert cli.main([command, str(wav), "--config", str(cfg_file),
+                         "--out", str(target)]) == cli.EXIT_INPUT
+        assert "is not usable JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+    def test_a_file_is_read_as_json_bytes(self, tmp_path, encoding):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": 9, "io": {"output_dir": "\u00e9"}}),
+                            encoding=encoding)
+        resolved = cli.resolve_config(cfg_file)
+        assert (resolved["seed"], resolved["io"]["output_dir"]) == (9, "\u00e9")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not usable JSON"),
+        ("[1]", "must contain a JSON object"),
+        ('{"loss": "bogus"}', "unknown loss 'bogus'"),
+        ('{"solver": {"kind": "x"}}', "solver kind must be one of"),
+    ])
+    def test_rejected_files_are_input_errors(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(text)
+        with pytest.raises(sc.InputError, match=message):
+            cli.resolve_config(cfg_file)
+        np.save(tmp_path / "mag.npy", np.ones((8, 64)))
+        assert cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--config",
+                         str(cfg_file), "--out", str(tmp_path / "run"),
+                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestTables:
     def test_solver_defaults_come_from_solver_options(self):
@@ -571,6 +617,17 @@ class TestReconstruct:
         (tmp_path / "mag.npy").write_bytes(data)
         np.testing.assert_array_equal(cli._load_npy(tmp_path / "mag.npy"), mag)
 
+    def test_an_unknown_npy_format_version_is_input_error(self, tmp_path, capsys):
+        mat, out = tmp_path / "mag.npy", tmp_path / "run"
+        np.save(mat, np.ones((6, 256)))
+        data = bytearray(mat.read_bytes())
+        data[6] = 9
+        mat.write_bytes(data)
+        assert cli.main(["reconstruct", str(mat), "--iters", "2", "--out", str(out)]
+                        + STFT_FLAGS) == cli.EXIT_INPUT
+        assert "unsupported .npy format version" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_half_band_matrix_expanded(self, tmp_path):
         config = sc.make_config(256, 64, "hann")
         signal = sc.synth("sine", {"freq": 500.0, "amp": 0.4}, 8000, 0.25)
@@ -932,6 +989,17 @@ class TestCompare:
                          "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
         assert "SPECCONSIST_THREADS" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_a_thread_count_too_long_for_int_is_input_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        corpus = self._make_corpus(tmp_path)
+        out = tmp_path / "outdir" / "r.csv"
+        monkeypatch.setenv("SPECCONSIST_THREADS", "1" * 5000)
+        code = cli.main(["compare", str(corpus), "--losses", "ec", "--iters", "2",
+                         "--out", str(out)] + STFT_FLAGS)
+        assert code == cli.EXIT_INPUT
+        assert "SPECCONSIST_THREADS must be an integer" in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_diverging_run_in_worker_threads_is_exit_3(self, tmp_path, monkeypatch):

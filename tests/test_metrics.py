@@ -138,6 +138,11 @@ class TestSpectralConvergence:
         with pytest.raises(sc.MetricError):
             sc.spectral_convergence(np.zeros((2, 2)), np.ones((2, 2)))
 
+    def test_magnitudes_of_different_shapes_are_input_errors(self):
+        mag = np.ones((8, 16))
+        with pytest.raises(sc.InputError, match="magnitude shapes differ"):
+            sc.spectral_convergence(mag, mag[:5])
+
 
 # Power-of-two gains that keep a standard normal draw finite and, in practice,
 # off the subnormals; both ends are always tried.

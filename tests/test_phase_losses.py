@@ -397,6 +397,18 @@ class TestLossReport:
         with pytest.raises(sc.InputError, match="unknown loss"):
             pl.loss_report(name, np.zeros((2, 4)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, q, a, cfg: pl.complex_value_and_grad(p, q, a, "L3"),
+         "unknown norm 'L3'"),
+        (lambda p, q, a, cfg: pl.loss_time(p, q, a, cfg, "l2"), "unknown norm 'l2'"),
+        (lambda p, q, a, cfg: pl.derivative_value_and_grad(p, q, "comp_l2"),
+         "unknown base loss 'comp_l2'"),
+    ])
+    def test_an_unknown_norm_or_base_is_input_error(self, cfg_64_16, rng, call, message):
+        p, q = rng.uniform(-np.pi, np.pi, (2, 8, 64))
+        with pytest.raises(sc.InputError, match=message):
+            call(p, q, np.ones((8, 64)), cfg_64_16)
+
     def test_derivative_report_carries_boundary_diagnostics(self, rng):
         p = rng.uniform(-np.pi, np.pi, (6, 8))
         q = rng.uniform(-np.pi, np.pi, (6, 8))

@@ -988,6 +988,18 @@ class TestGdReconstruct:
         assert len(trace.records) == 3
         assert (opts.max_iters, opts.seed) == (3, 2)
 
+    @pytest.mark.parametrize("run, message", [
+        (lambda mag, cfg: gd_reconstruct(mag, "ec", None, SolverOptions(init="provided"),
+                                         cfg), "init 'provided' requires init_phase"),
+        (lambda mag, cfg: griffin_lim(mag, SolverOptions(init="provided"), cfg),
+         "init 'provided' requires init_phase"),
+        (lambda mag, cfg: gd_reconstruct(mag, "bogus", None, SolverOptions(), cfg),
+         "unknown loss 'bogus'"),
+    ])
+    def test_a_run_without_its_inputs_is_input_error(self, cfg_64_16, run, message):
+        with pytest.raises(sc.InputError, match=message):
+            run(np.ones((8, 64)), cfg_64_16)
+
 
 class TestReconstructSignal:
     def test_clean_pair_recovers_signal(self, cfg_256_64, rng):

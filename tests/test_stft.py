@@ -227,6 +227,11 @@ class TestIstft:
         assert y.dtype == np.complex128
         assert np.abs(y.imag).max() < 1e-12
 
+    @pytest.mark.parametrize("inverse", [overlap_add, istft])
+    def test_a_bare_array_needs_a_config(self, inverse):
+        with pytest.raises(InputError, match="a config is required"):
+            inverse(np.ones((4, 8)))
+
 
 class TestAddBlocks:
     """``_add_blocks`` writes each frame's last block as x + 0.0 and zero-fills only
