@@ -24,8 +24,8 @@ import numpy as np
 
 from . import audio_io, metrics, solvers
 from .errors import DivergenceError, InputError, SpecConsistError
-from .stft import (WINDOW_KINDS, _check_length, _integer, _magnitude, expand_half_spectrum,
-                   istft, make_config, num_frames, signal_length, stft)
+from .stft import (WINDOW_KINDS, _integer, _magnitude, expand_half_spectrum, istft,
+                   make_config, num_frames, signal_length, stft)
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -199,7 +199,8 @@ def _load_reconstruct_input(args, config):
     path = Path(args.input)
     if path.suffix.lower() == ".npy":
         arr = _load_npy(path)
-        if arr.ndim == 2 and arr.shape[1] == config.window_len // 2 + 1:
+        # a half band, unless that is the full width (N = 1 or 2)
+        if arr.ndim == 2 and arr.shape[1] == config.window_len // 2 + 1 != config.window_len:
             arr = expand_half_spectrum(arr, config.window_len)
         return _magnitude(arr, config), None, None, args.sr
     signal, meta = audio_io.read_wav(path, downmix=args.downmix)
@@ -272,11 +273,13 @@ def cmd_reconstruct(args) -> int:
     opts = _solver_options(cfg, init_phase=init_phase)
     out_dir = Path(args.out) if args.out else Path(cfg["io"]["output_dir"])
     span = signal_length(len(mag), config)  # no signal has fewer than Q frames
-    length = span if reference is None else _check_length(len(reference), len(mag),
-                                                          config)
     if reference_rate != sample_rate:  # the SNR would compare two time axes
         raise InputError(f"reference {args.reference} is at {reference_rate} Hz, "
                          f"the input at {sample_rate} Hz")
+    if reference is not None and num_frames(len(reference), config) != len(mag):
+        raise InputError(f"reference {args.reference} has {len(reference)} samples; the "
+                         f"input's {len(mag)} frames need {span - config.hop + 1} to {span}")
+    length = span if reference is None else len(reference)
 
     try:
         if solver_kind == "gla":
@@ -460,6 +463,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy refused an allocation, such as a huge STFT
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

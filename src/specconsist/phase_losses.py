@@ -7,7 +7,7 @@ as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,10 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass
 class LossReport:
-    """A named loss value with optional per-frame breakdown and diagnostics."""
+    """A loss value and the name of its loss."""
 
     loss_name: str
     value: float
-    per_frame: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def wrap_principal(x: np.ndarray) -> np.ndarray:
@@ -189,7 +187,7 @@ def derivative_value_and_grad(p, p_est, base):
 def _derivative_loss(t, base: str):
     """The base loss bound to the target, its group delay and its instantaneous
     frequency once; a step reads the iterate's phasor for the first term only."""
-    bind = LOSSES[base][0]
+    bind = LOSSES[base]
     s0, s1, s2 = (bind(x, None, None) for x in (t, _wrapped_diff(t, 1), _wrapped_diff(t, 0)))
 
     def step(p, unit=None, ws=None):
@@ -214,54 +212,34 @@ def _diff_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # loss table and reporting
 
-# name -> (bind(target, mag, config), whether the loss is a plain sum over bins);
-# bind prepares what needs only the target and returns step(phase, unit, ws) ->
-# (value, grad) as ``solvers.LOSSES`` describes; a step given None builds what it
-# needs. A bind trusts its caller to have checked every array (see ``_checked``).
+# name -> bind(target, mag, config), which prepares what needs only the target and
+# returns step(phase, unit, ws) -> (value, grad) as ``solvers.LOSSES`` describes; a
+# step given None builds what it needs. A bind trusts its caller to have checked
+# every array (see ``_checked``).
 LOSSES = {
-    "cos": (lambda t, mag, cfg: _cos_loss(t), True),
-    "aw": (lambda t, mag, cfg: _aw_loss(t), True),
-    "comp_l1": (lambda t, mag, cfg: _complex_loss(t, mag, "L1"), True),
-    "comp_l2": (lambda t, mag, cfg: _complex_loss(t, mag, "L2"), True),
-    "time_l1": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L1"), False),
-    "time_l2": (lambda t, mag, cfg: _time_loss(t, mag, cfg, "L2"), False),
-    "cos_derv": (lambda t, mag, cfg: _derivative_loss(t, "cos"), False),
-    "aw_derv": (lambda t, mag, cfg: _derivative_loss(t, "aw"), False),
+    "cos": lambda t, mag, cfg: _cos_loss(t),
+    "aw": lambda t, mag, cfg: _aw_loss(t),
+    "comp_l1": lambda t, mag, cfg: _complex_loss(t, mag, "L1"),
+    "comp_l2": lambda t, mag, cfg: _complex_loss(t, mag, "L2"),
+    "time_l1": lambda t, mag, cfg: _time_loss(t, mag, cfg, "L1"),
+    "time_l2": lambda t, mag, cfg: _time_loss(t, mag, cfg, "L2"),
+    "cos_derv": lambda t, mag, cfg: _derivative_loss(t, "cos"),
+    "aw_derv": lambda t, mag, cfg: _derivative_loss(t, "aw"),
 }
 _BASES = tuple(name.removesuffix("_derv") for name in LOSSES if name.endswith("_derv"))
 
 
 def loss_report(name: str, p, p_est, mag=None, config=None) -> LossReport:
-    """Evaluate a loss by name with per-frame breakdown where it exists.
-
-    The per-frame breakdown exists for the losses that are plain sums over
-    bins: entry m is the loss of frame m alone. For the derivative-augmented
-    losses the diagnostics carry the boundary contribution (column 0 of the
-    frequency differences, row 0 of the time differences), which has no left
-    neighbour and is reported separately.
-    """
+    """Evaluate a loss by name."""
     if name not in tuple(LOSSES):  # an unhashable name is unknown too
         raise InputError(f"unknown loss {name!r}")
-    p, p_est, mag = _checked(name, p, p_est, mag, config)
-    bind, plain_sum = LOSSES[name]
-    report = LossReport(name, bind(p, mag, config)(p_est)[0])
-    if plain_sum:
-        rows = [(p[i:i + 1], p_est[i:i + 1], None if mag is None else mag[i:i + 1])
-                for i in range(p.shape[0])]
-        report.per_frame = np.array([bind(t, a, config)(e)[0] for t, e, a in rows])
-    if name.endswith("_derv"):
-        base = LOSSES[name.removesuffix("_derv")][0]
-        freq = [_wrapped_diff(x, 1)[:, :1] for x in (p, p_est)]
-        time = [_wrapped_diff(x, 0)[:1] for x in (p, p_est)]
-        report.diagnostics["boundary_contribution"] = (
-            base(freq[0], None, None)(freq[1])[0] + base(time[0], None, None)(time[1])[0])
-    return report
+    return LossReport(name, _evaluate(name, p, p_est, mag, config)[0])
 
 
 def _evaluate(name, p, p_est, mag=None, config=None):
     """``name``'s (value, grad) at the one phase ``p_est``, through the table."""
     p, p_est, mag = _checked(name, p, p_est, mag, config)
-    return LOSSES[name][0](p, mag, config)(p_est)
+    return LOSSES[name](p, mag, config)(p_est)
 
 
 def _checked(name, p, p_est, mag, config):

@@ -26,7 +26,7 @@ from .stft import (Signal, Spectrogram, StftConfig, _expand_half, _integer, _mag
 # the update then spends grad. ``ec`` alone takes no target: its step is that
 # call's value and gradient, and its ``unit`` is None.
 LOSSES = {"ec": (lambda target, mag, config: lambda phase, unit, ws: ws.gradient(), False),
-          **{name: (bind, True) for name, (bind, _) in phase_losses.LOSSES.items()}}
+          **{name: (bind, True) for name, bind in phase_losses.LOSSES.items()}}
 INITS = ("zeros", "random_uniform", "provided")
 STEP_RULES = ("fixed", "cosine_anneal", "relative")
 PARAMETERIZATIONS = ("direct_phase", "c1_c2")

@@ -82,10 +82,6 @@ class Spectrogram:
             raise InputError("spectrogram contains non-finite entries")
 
     @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.data)
 

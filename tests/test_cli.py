@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import specconsist as sc
-from specconsist import audio_io, cli, consistency, solvers
+from specconsist import audio_io, cli, consistency, metrics, solvers
 from specconsist.audio_io import WavMeta, write_wav
 from specconsist.stft import WINDOW_KINDS, _polar, signal_length, stft
 
@@ -639,6 +639,17 @@ class TestReconstruct:
                          "--iters", "5", "--out", str(out)] + STFT_FLAGS)
         assert code == 0
 
+    @pytest.mark.parametrize("solver", ["gd", "gla"])
+    def test_a_one_bin_magnitude_is_not_half_band(self, tmp_path, solver):
+        # at N = 1 the half band N//2+1 is the full width: nothing to expand
+        np.save(tmp_path / "m1.npy", np.ones((6, 1)))
+        out = tmp_path / "run"
+        assert cli.main(["reconstruct", str(tmp_path / "m1.npy"), "--solver", solver,
+                         "--window-len", "1", "--hop", "1", "--window", "rectangular",
+                         "--iters", "2", "--out", str(out)]) == cli.EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["out.wav", "report.json",
+                                                         "trace.csv"]
+
     @pytest.mark.parametrize("n, hop", [(64, 16), (63, 21)])
     def test_half_and_full_band_magnitudes_give_the_same_output(self, tmp_path, n, hop):
         config = sc.make_config(n, hop, "hann")
@@ -855,7 +866,8 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("solver", ["gd", "gla"])
     @pytest.mark.parametrize("case", ["sr 0", "sr 2**31", "long reference",
-                                      "reference rate"])
+                                      "reference rate", "short reference wav",
+                                      "short reference npy", "long reference npy"])
     def test_output_checks_run_before_the_solver(self, tmp_path, monkeypatch, capsys,
                                                  solver, case):
         def never(*args, **kwargs):
@@ -868,16 +880,31 @@ class TestReconstruct:
         flags = {"sr 0": ["--sr", "0"], "sr 2**31": ["--sr", str(2**31)],
                  "long reference": ["--reference", str(tmp_path / "ref.wav")],
                  # a reference that fits, at 8000 Hz against the default --sr 16000
-                 "reference rate": ["--reference", str(tmp_path / "ref384.wav")]}[case]
+                 "reference rate": ["--reference", str(tmp_path / "ref384.wav")],
+                 "short reference wav": ["--reference", str(tmp_path / "ref720.wav")],
+                 "short reference npy": ["--reference", str(tmp_path / "ref128.wav")],
+                 "long reference npy": ["--reference", str(tmp_path / "ref193.wav")]}[case]
         make_wav(tmp_path / "ref.wav", duration=385 / 8000)
         make_wav(tmp_path / "ref384.wav", duration=384 / 8000)
+        # 6 frames span 129 to 192 samples; the 800-sample WAV's 16 frames 769 to 832
+        make_wav(tmp_path / "in.wav", duration=800 / 8000)
+        make_wav(tmp_path / "ref720.wav", duration=720 / 8000)
+        make_wav(tmp_path / "ref128.wav", sr=16000, duration=128 / 16000)
+        make_wav(tmp_path / "ref193.wav", sr=16000, duration=193 / 16000)
+        source = tmp_path / ("in.wav" if case == "short reference wav" else "mag.npy")
         out = tmp_path / "run"
-        code = cli.main(["reconstruct", str(tmp_path / "mag.npy"), "--solver", solver,
+        code = cli.main(["reconstruct", str(source), "--solver", solver,
                          *flags, "--iters", "3000", "--out", str(out)] + STFT_FLAGS)
         assert code == cli.EXIT_INPUT
         err = capsys.readouterr().err
-        assert {"long reference": "length must be in [0, 384] for 6 frames",
-                "reference rate": "is at 8000 Hz, the input at 16000 Hz"}.get(
+        assert {"long reference": "is at 8000 Hz, the input at 16000 Hz",
+                "reference rate": "is at 8000 Hz, the input at 16000 Hz",
+                "short reference wav": "ref720.wav has 720 samples; the input's 16 "
+                                       "frames need 769 to 832",
+                "short reference npy": "ref128.wav has 128 samples; the input's 6 "
+                                       "frames need 129 to 192",
+                "long reference npy": "ref193.wav has 193 samples; the input's 6 "
+                                      "frames need 129 to 192"}.get(
                     case, "does not fit a WAV header") in err
         assert not out.exists()
 
@@ -1307,6 +1334,28 @@ class TestCommandProperty:
             assert code in range(5)
             if code == cli.EXIT_INPUT:
                 assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct", "compare"])
+    def test_a_refused_allocation_is_input_error(self, tmp_path, monkeypatch, capsys,
+                                                 command):
+        # what numpy raises for an STFT too large to allocate, without allocating
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.01 TiB for an array")
+
+        monkeypatch.setattr(metrics, "consistency_measure", refuse)
+        monkeypatch.setattr(cli, "stft", refuse)
+        monkeypatch.setenv("SPECCONSIST_THREADS", "2")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.wav", "b.wav"):
+            make_wav(corpus / name, duration=0.05)
+        source, out = {"analyze": (corpus / "a.wav", tmp_path / "run" / "report.json"),
+                       "reconstruct": (corpus / "a.wav", tmp_path / "run"),
+                       "compare": (corpus, tmp_path / "run" / "r.csv")}[command]
+        assert cli.main([command, str(source), "--out", str(out)]) == cli.EXIT_INPUT
+        assert ("error: out of memory: Unable to allocate 8.01 TiB"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
